@@ -17,8 +17,8 @@
 //
 // API (JSON): POST /jobs, GET /jobs, GET /jobs/{id}, POST /jobs/{id}/cancel,
 // GET /jobs/{id}/result, GET /jobs/{id}/trace, POST /drain, GET /healthz,
-// plus expvar metrics at /debug/vars and an OpenMetrics exposition at
-// /metrics (eval-latency histogram, kernel GFLOP counters, queue depth).
+// plus an OpenMetrics exposition at /metrics (eval-latency histogram,
+// kernel GFLOP counters, queue depth).
 // When the admission queue is full or the daemon is draining, submits get
 // 429 with jittered Retry-After backoff guidance.
 //
@@ -50,7 +50,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -133,12 +132,6 @@ func run() error {
 	log.Printf("pipeline ready in %v", time.Since(t0).Round(time.Millisecond))
 
 	met := obs.NewMetrics(*maxRunning)
-	if !met.Publish("") {
-		log.Printf("warning: expvar %q already registered; live metrics not republished", obs.DefaultVarName)
-	}
-	if !obs.PublishKernelStats("") {
-		log.Printf("warning: expvar %q already registered; kernel counters not republished", obs.DefaultKernelVarName)
-	}
 	sinks := []obs.Recorder{met}
 	var traceLog *obs.JSONL
 	if *tracePath != "" {
@@ -230,7 +223,6 @@ func run() error {
 	}}
 	mux := http.NewServeMux()
 	mux.Handle("/", api.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/metrics", obs.MetricsHandler(
 		met.Families,
 		obs.KernelFamilies,

@@ -35,8 +35,8 @@
 //
 // Observability: -trace streams every search event (evaluation lifecycle,
 // epoch ticks, trace spans, worker supervision, checkpoints) as JSON lines;
-// -obs serves live aggregate metrics as the expvar "podnas.search" at
-// /debug/vars, an OpenMetrics exposition at /metrics, and the pprof suite.
+// -obs serves live aggregate metrics as an OpenMetrics exposition at
+// /metrics, next to the pprof suite.
 // The -slo-* flags start a watch loop that, on the first poll a target is
 // breached, captures a CPU+heap pprof bundle into -slo-dir (once per breach
 // window) and records an slo_breach event. See the README's "Observability"
@@ -117,7 +117,7 @@ func main() {
 	killNth := flag.Int("killnth", 0, "fault injection: SIGKILL a worker right after the Nth dispatched evaluation (tests/CI smoke)")
 	faultKill := flag.Float64("faultkill", 0, "fault injection: probability a worker kills its own process mid-evaluation (needs -isolate)")
 	faultSeed := flag.Uint64("faultseed", 0, "fault injection seed (set by the supervisor per worker incarnation)")
-	obsAddr := flag.String("obs", "", "serve live metrics (expvar, OpenMetrics /metrics) and pprof on this address, e.g. :6060")
+	obsAddr := flag.String("obs", "", "serve live metrics (OpenMetrics /metrics) and pprof on this address, e.g. :6060")
 	tracePath := flag.String("trace", "", "stream the search event log to this file as JSON lines")
 	sloEvalP99 := flag.Duration("slo-eval-p99", 0, "SLO: breach when eval latency p99 exceeds this (0 = off; needs -obs or -trace)")
 	sloQueueP99 := flag.Duration("slo-queue-p99", 0, "SLO: breach when queue-wait p99 exceeds this (0 = off)")
@@ -269,18 +269,12 @@ func main() {
 		// of the same search reconstructs identical span identities.
 		rootSpan = span.NewTrace(fmt.Sprintf("run/%s/%d", *method, *seed))
 		if *obsAddr != "" {
-			if !met.Publish("") {
-				log.Printf("warning: expvar %q already registered (another run in this process?); live metrics not republished", obs.DefaultVarName)
-			}
-			if !obs.PublishKernelStats("") {
-				log.Printf("warning: expvar %q already registered; kernel counters not republished", obs.DefaultKernelVarName)
-			}
 			srv, ln, err := obs.Serve(*obsAddr, met.Families, obs.KernelFamilies)
 			if err != nil {
 				fatalUsage("-obs: %v", err)
 			}
 			defer srv.Close()
-			fmt.Printf("observability: http://%s/debug/vars (expvar %q), /metrics (OpenMetrics), and /debug/pprof/\n", ln.Addr(), obs.DefaultVarName)
+			fmt.Printf("observability: http://%s/metrics (OpenMetrics) and /debug/pprof/\n", ln.Addr())
 		}
 		if *sloEvalP99 > 0 || *sloQueueP99 > 0 || *sloHBRate > 0 {
 			w, err := slo.New(slo.Options{

@@ -120,8 +120,9 @@ func TestDecodeManifestRejections(t *testing.T) {
 
 // FuzzJobManifestDecode hammers the manifest parser with corrupt,
 // truncated, and mutated inputs: it must reject bad bytes with an error —
-// never panic — and anything it accepts must re-encode into a manifest it
-// accepts again (no bogus Jobs slip through).
+// never panic — and anything it accepts must sit inside the integrity
+// envelope and re-encode into a manifest it accepts again (no bogus or
+// unverified Jobs slip through).
 func FuzzJobManifestDecode(f *testing.F) {
 	valid := &Job{
 		ID:          "jfeed0001",
@@ -139,7 +140,7 @@ func FuzzJobManifestDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(sealed)
-	f.Add(payload) // legacy unenveloped form
+	f.Add(payload) // unenveloped: must be rejected
 	f.Add([]byte(`{"version":1,"crc":0,"payload":{}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(``))
@@ -152,8 +153,15 @@ func FuzzJobManifestDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Accepted: the invariants DecodeManifest promises must hold, and
-		// the manifest must survive a save/load cycle.
+		// Accepted: the bytes were a sealed envelope, the invariants
+		// DecodeManifest promises must hold, and the manifest must survive
+		// a save/load cycle.
+		var env struct {
+			Payload json.RawMessage `json:"payload"`
+		}
+		if err := json.Unmarshal(data, &env); err != nil || env.Payload == nil {
+			t.Fatalf("accepted a manifest outside the envelope: %q", data)
+		}
 		if j.ID == "" || !validState(j.State) || j.Spec.Evals < 1 || j.Attempt < 0 || j.Evals < 0 {
 			t.Fatalf("accepted manifest violates invariants: %+v", j)
 		}

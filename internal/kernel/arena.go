@@ -8,8 +8,8 @@ package kernel
 //
 // Alloc returns dirty memory — callers must fully overwrite it (GEMM
 // with accumulate=false, copy, the fused LSTM sweeps) or use AllocZero.
-// The bit-identity property tests rely on this discipline: arena-backed
-// training must match alloc-per-step training exactly.
+// nn's poisoned-arena test enforces this discipline: training on arenas
+// pre-filled with NaN must match training on fresh ones bit for bit.
 //
 // An Arena is single-goroutine; parallel kernel workers use their own
 // pooled scratch, not the caller's arena.

@@ -88,7 +88,7 @@ func (c Config) threshold() int {
 }
 
 // Stats are the process-wide kernel counters, cheap enough to leave on
-// permanently; nasbench and the obs expvar endpoint read them.
+// permanently; the benchmark harness and the /metrics exposition read them.
 type Stats struct {
 	GemmCalls uint64 `json:"gemm_calls"`
 	GemmFLOPs uint64 `json:"gemm_flops"`
@@ -99,19 +99,6 @@ var gemmCalls, gemmFLOPs atomic.Uint64
 // ReadStats returns a snapshot of the cumulative kernel counters.
 func ReadStats() Stats {
 	return Stats{GemmCalls: gemmCalls.Load(), GemmFLOPs: gemmFLOPs.Load()}
-}
-
-// SIMD reports the micro-kernel class the auto-detection resolved to:
-// "avx512", "avx2", or "generic". nasbench stamps it into reports so
-// the diff gate only compares speedup ratios across like machines.
-func SIMD() string {
-	switch {
-	case hasAVX512:
-		return "avx512"
-	case hasAVX2:
-		return "avx2"
-	}
-	return "generic"
 }
 
 // ParallelRows deterministically partitions [0, n) across the config's

@@ -5,10 +5,8 @@ import "fmt"
 // RefGemm is the pre-kernel-layer scalar GEMM, preserved verbatim in
 // accumulation order: the ikj loop with the bitwise-zero sparsity skip
 // for the plain and transA cases, and the dot-product form for transB.
-// It is both the oracle the packed kernels are tested against and the
-// compute path of the nn reference engine, so nasbench can measure the
-// pre-optimization baseline in the same run and reference-engine
-// checkpoints reproduce pre-kernel results bit for bit.
+// It is the oracle the packed kernels are tested against and the compute
+// path of nn's test-only reference layers; no shipped code calls it.
 func RefGemm(dst, a, b Mat, transA, transB, accumulate bool) {
 	if !dst.ok() || !a.ok() || !b.ok() {
 		panic("kernel: RefGemm bad view")

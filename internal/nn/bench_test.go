@@ -23,15 +23,15 @@ func benchGraph(b *testing.B) (*Graph, *tensor.Tensor3, *tensor.Tensor3) {
 }
 
 // BenchmarkTrainStep measures one full training step (forward, loss,
-// backward, Adam) per engine. The fused engine's allocs/op is the
-// "per-step allocations ~0" target from the kernel-layer redesign; the
-// reference engine is the preserved pre-kernel baseline.
+// backward, Adam) on the shipped kernel path ("fused") and on the
+// test-only pre-kernel layers ("reference"). The fused allocs/op is the
+// "per-step allocations ~0" target from the kernel-layer redesign.
 func BenchmarkTrainStep(b *testing.B) {
 	for _, mode := range []string{"fused", "reference"} {
 		b.Run(mode, func(b *testing.B) {
 			g, x, y := benchGraph(b)
 			if mode == "reference" {
-				g.SetEngine(EngineReference)
+				useReferenceLayers(g)
 			}
 			opt := NewAdam(0.001)
 			var grad *tensor.Tensor3
@@ -54,14 +54,13 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardEval measures inference-only throughput per engine —
-// the ns/eval metric nasbench tracks.
+// BenchmarkForwardEval measures inference-only throughput on both paths.
 func BenchmarkForwardEval(b *testing.B) {
 	for _, mode := range []string{"fused", "reference"} {
 		b.Run(mode, func(b *testing.B) {
 			g, x, _ := benchGraph(b)
 			if mode == "reference" {
-				g.SetEngine(EngineReference)
+				useReferenceLayers(g)
 			}
 			g.Forward(x)
 			b.ReportAllocs()

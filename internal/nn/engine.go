@@ -2,29 +2,13 @@ package nn
 
 import "podnas/internal/kernel"
 
-// Engine selects the compute path a network runs on.
-type Engine int
-
-const (
-	// EngineFused is the default: kernel-layer blocked GEMM, fused
-	// gate sweeps, and arena-backed scratch.
-	EngineFused Engine = iota
-	// EngineReference is the pre-kernel scalar path (naive GEMM,
-	// library activations, alloc-per-step), preserved so benchmarks
-	// can measure the baseline in the same run and so the fused path
-	// has an oracle; reference-engine results reproduce pre-kernel
-	// checkpoints bit for bit.
-	EngineReference
-)
-
 // engineState is the execution policy and scratch shared by every
 // layer of one network. Two arenas, not one: forward caches (gates,
 // cell states) must survive until Backward consumes them, so the
 // forward arena resets at Graph.Forward and the backward arena at
-// Graph.Backward.
+// Graph.Backward. Arena memory is DIRTY: callers must fully overwrite
+// what they Alloc (the poisoned-arena test enforces this discipline).
 type engineState struct {
-	engine  Engine
-	noArena bool // alloc-per-step (bit-identity oracle for the arenas)
 	// standalone marks a state owned by a single layer used outside a
 	// Graph; the layer then recycles the arenas itself at each pass
 	// (a Graph resets them once per Forward/Backward instead).
@@ -36,29 +20,6 @@ type engineState struct {
 
 func newEngineState() *engineState {
 	return &engineState{fwd: kernel.NewArena(), bwd: kernel.NewArena()}
-}
-
-// alloc returns n floats of scratch from arena a. The memory is DIRTY
-// in arena mode and zeroed in noArena mode, so callers must fully
-// overwrite it; the arena-vs-alloc bit-identity test enforces exactly
-// this discipline.
-//
-//podnas:hotpath
-func (es *engineState) alloc(a *kernel.Arena, n int) []float64 {
-	if es.noArena {
-		return make([]float64, n) //podnas:allow hotalloc noArena oracle mode allocates per call by design; arena mode is zero-alloc
-	}
-	return a.Alloc(n)
-}
-
-// allocZero is alloc with guaranteed-zero contents in both modes.
-//
-//podnas:hotpath
-func (es *engineState) allocZero(a *kernel.Arena, n int) []float64 {
-	if es.noArena {
-		return make([]float64, n) //podnas:allow hotalloc noArena oracle mode allocates per call by design; arena mode is zero-alloc
-	}
-	return a.AllocZero(n)
 }
 
 // parallel reports whether batch-row sweeps should fan out; the serial
@@ -84,13 +45,13 @@ func (e *engined) state() *engineState {
 // resetFwd and resetBwd recycle a standalone layer's arenas at pass
 // boundaries; inside a Graph the graph does this once per pass instead.
 func (es *engineState) resetFwd() {
-	if es.standalone && !es.noArena {
+	if es.standalone {
 		es.fwd.Reset()
 	}
 }
 
 func (es *engineState) resetBwd() {
-	if es.standalone && !es.noArena {
+	if es.standalone {
 		es.bwd.Reset()
 	}
 }

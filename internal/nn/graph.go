@@ -61,9 +61,9 @@ type graphNode struct {
 	// merge machinery, present when len(inputs) > 1: per-input projection
 	// Dense layers (no activation), summed, then rectified — the paper's
 	// skip-connection semantics.
-	proj []*Dense
-	relu *ReLU
-	body Layer // Identity or LSTM
+	proj []Layer // Dense, one per input
+	relu Layer   // ReLU, nil when the spec disables it
+	body Layer   // Identity or LSTM
 
 	// forward caches
 	out     *tensor.Tensor3
@@ -82,19 +82,6 @@ type Graph struct {
 	douts []*tensor.Tensor3
 	dIn   *tensor.Tensor3
 }
-
-// SetEngine selects the compute path for every layer: EngineFused (the
-// default kernel path) or EngineReference (the preserved pre-kernel
-// scalar path, which reproduces pre-kernel checkpoints bit for bit).
-func (g *Graph) SetEngine(e Engine) { g.es.engine = e }
-
-// Engine returns the active compute engine.
-func (g *Graph) Engine() Engine { return g.es.engine }
-
-// SetArenas toggles arena-backed scratch for the fused engine (default
-// on). Off allocates every buffer fresh — the bit-identity oracle the
-// arena property test compares against.
-func (g *Graph) SetArenas(enabled bool) { g.es.noArena = !enabled }
 
 // SetKernelConfig sets the kernel execution policy (workers, parallel
 // threshold, SIMD selection) for every layer of the network.
@@ -122,15 +109,17 @@ func NewGraph(spec GraphSpec, rng *tensor.RNG) (*Graph, error) {
 		mergedDim := dimOf(ns.Inputs[0])
 		if len(ns.Inputs) > 1 {
 			// Project every incoming tensor to the chain input's width.
-			node.proj = make([]*Dense, len(ns.Inputs))
+			node.proj = make([]Layer, len(ns.Inputs))
 			for j, in := range ns.Inputs {
-				node.proj[j] = NewDense(fmt.Sprintf("n%d.proj%d", i, j), dimOf(in), mergedDim, rng)
-				node.proj[j].es = g.es
-				g.params = append(g.params, node.proj[j].Params()...)
+				proj := NewDense(fmt.Sprintf("n%d.proj%d", i, j), dimOf(in), mergedDim, rng)
+				proj.es = g.es
+				node.proj[j] = proj
+				g.params = append(g.params, proj.Params()...)
 			}
 			if !spec.NoMergeReLU {
-				node.relu = NewReLU(mergedDim)
-				node.relu.es = g.es
+				relu := NewReLU(mergedDim)
+				relu.es = g.es
+				node.relu = relu
 			}
 		}
 		if ns.Units > 0 {
@@ -177,9 +166,7 @@ func (g *Graph) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 	}
 	// Recycle the forward arena: every activation from the previous
 	// Forward (including the tensor it returned) is dead from here on.
-	if g.es.engine == EngineFused && !g.es.noArena {
-		g.es.fwd.Reset()
-	}
+	g.es.fwd.Reset()
 	outOf := func(idx int) *tensor.Tensor3 {
 		if idx == GraphInput {
 			return x
@@ -231,17 +218,12 @@ func (g *Graph) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 	g.dIn = nil
 	g.douts[n-1] = dOut
 	// Recycle the backward arena; forward caches live in the other one.
-	if g.es.engine == EngineFused && !g.es.noArena {
-		g.es.bwd.Reset()
-	}
+	g.es.bwd.Reset()
 
-	// cloneGrad copies a gradient the accumulator must own: arena-backed
-	// under the fused engine, a heap clone under the reference engine.
+	// cloneGrad copies a gradient the accumulator must own into the
+	// backward arena.
 	cloneGrad := func(src *tensor.Tensor3) *tensor.Tensor3 {
-		if g.es.engine == EngineReference {
-			return src.Clone()
-		}
-		data := g.es.alloc(g.es.bwd, len(src.Data)) //podnas:allow hotalloc inlined es.alloc in cloneGrad; noArena oracle mode only
+		data := g.es.bwd.Alloc(len(src.Data))
 		copy(data, src.Data)
 		return tensor.Tensor3FromSlice(src.B, src.T, src.F, data)
 	}

@@ -8,7 +8,7 @@ import (
 	"podnas/internal/tensor"
 )
 
-// paritySpec exercises every layer kind the engines implement: LSTMs,
+// paritySpec exercises every layer kind the network implements: LSTMs,
 // skip-connection Dense projections, merge ReLUs, and an Identity node.
 func paritySpec() GraphSpec {
 	return GraphSpec{
@@ -44,11 +44,11 @@ func maxRelDiffSlice(a, b []float64) float64 {
 	return worst
 }
 
-// TestFusedMatchesReferenceGradients pins the fused engine to the
-// preserved pre-kernel path at 1e-9: outputs, parameter gradients, and
-// the input gradient. The engines may reorder float sums (fused GEMM
-// tiling, fast-exp activations), so bitwise equality is not expected —
-// 1e-9 relative is.
+// TestFusedMatchesReferenceGradients pins the shipped kernel path to the
+// test-only pre-kernel layers (reference_test.go) at 1e-9: outputs,
+// parameter gradients, and the input gradient. The two may reorder float
+// sums (fused GEMM tiling, fast-exp activations), so bitwise equality is
+// not expected — 1e-9 relative is.
 func TestFusedMatchesReferenceGradients(t *testing.T) {
 	const tol = 1e-9
 	spec := paritySpec()
@@ -60,7 +60,7 @@ func TestFusedMatchesReferenceGradients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gR.SetEngine(EngineReference)
+	useReferenceLayers(gR)
 
 	rng := tensor.NewRNG(11)
 	x := randT3(rng, 4, 5, spec.InputDim)
@@ -126,16 +126,32 @@ func requireBitIdentical(t *testing.T, what string, a, b map[string][]float64) {
 	}
 }
 
-// TestArenaAllocBitIdentity is the arena discipline property test: a
-// full training run with pooled arenas must be bit-identical to the same
-// run allocating every buffer fresh, across seeds. Any kernel or layer
-// reading stale arena memory (dirty Alloc without full overwrite) breaks
-// this immediately.
+// poisonArena leaves a one NaN-filled slab of n floats for every later
+// Alloc to carve from.
+func poisonArena(a *kernel.Arena, n int) {
+	slab := a.Alloc(n)
+	for i := range slab {
+		slab[i] = math.NaN()
+	}
+	a.Reset()
+}
+
+// TestArenaAllocBitIdentity is the arena discipline property test: what
+// Arena.Alloc hands out is dirty, so a full training run whose arenas
+// start out filled with NaN must be bit-identical to the same run on
+// fresh (zeroed) arenas, across seeds. Any kernel or layer reading arena
+// memory it has not fully overwritten breaks this immediately.
 func TestArenaAllocBitIdentity(t *testing.T) {
+	// Far more than one pass over paritySpec allocates, so every buffer
+	// of the poisoned run comes out of the NaN slab.
+	const slab = 1 << 16
 	for _, seed := range []uint64{1, 2, 3} {
-		arena := trainParityGraph(t, seed, nil)
-		fresh := trainParityGraph(t, seed, func(g *Graph) { g.SetArenas(false) })
-		requireBitIdentical(t, "arena-vs-alloc", arena, fresh)
+		clean := trainParityGraph(t, seed, nil)
+		poisoned := trainParityGraph(t, seed, func(g *Graph) {
+			poisonArena(g.es.fwd, slab)
+			poisonArena(g.es.bwd, slab)
+		})
+		requireBitIdentical(t, "clean-vs-poisoned arena", clean, poisoned)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // respect to the layer input. A layer instance carries training state and
 // must not be shared across goroutines.
 //
-// Under the fused engine, tensors returned by Forward and Backward alias
-// arena storage owned by the network: valid until the next Forward
-// (respectively Backward) pass, so consume or copy them within the step.
+// Tensors returned by Forward and Backward alias arena storage owned by
+// the network: valid until the next Forward (respectively Backward) pass,
+// so consume or copy them within the step.
 type Layer interface {
 	// Forward computes the layer output for x.
 	Forward(x *tensor.Tensor3) *tensor.Tensor3
@@ -80,15 +80,8 @@ func (l *Dense) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 	l.x = x
 	es := l.state() //podnas:allow hotalloc lazy one-time engineState init per layer
 	rows := x.B * x.T
-	if es.engine == EngineReference {
-		out := tensor.NewTensor3(x.B, x.T, l.out)
-		w := tensor.FromSlice(l.in, l.out, l.W.W)
-		refMatMulInto(out.AsMatrix(), x.AsMatrix(), w)
-		addBiasRows(out.Data, l.B.W, rows, l.out)
-		return out
-	}
 	es.resetFwd()
-	data := es.alloc(es.fwd, rows*l.out) //podnas:allow hotalloc inlined es.alloc; make fires only in noArena oracle mode
+	data := es.fwd.Alloc(rows * l.out)
 	es.cfg.Gemm(kernel.MatOf(rows, l.out, data),
 		kernel.MatOf(rows, l.in, x.Data),
 		kernel.MatOf(l.in, l.out, l.W.W), false, false, false)
@@ -115,22 +108,12 @@ func (l *Dense) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 	}
 	es := l.state() //podnas:allow hotalloc lazy one-time engineState init per layer
 	rows := dOut.B * dOut.T
-	if es.engine == EngineReference {
-		dw := tensor.FromSlice(l.in, l.out, l.W.G)
-		refMatMulTransAAddInto(dw, l.x.AsMatrix(), dOut.AsMatrix())
-		sumGradRows(l.B.G, dOut.Data, rows, l.out)
-		dx := tensor.NewTensor3(l.x.B, l.x.T, l.in)
-		w := tensor.FromSlice(l.in, l.out, l.W.W)
-		dxm := refMatMulTransB(dOut.AsMatrix(), w)
-		copy(dx.Data, dxm.Data)
-		return dx
-	}
 	es.resetBwd()
 	es.cfg.Gemm(kernel.MatOf(l.in, l.out, l.W.G),
 		kernel.MatOf(rows, l.in, l.x.Data),
 		kernel.MatOf(rows, l.out, dOut.Data), true, false, true)
 	sumGradRows(l.B.G, dOut.Data, rows, l.out)
-	dx := es.alloc(es.bwd, rows*l.in) //podnas:allow hotalloc inlined es.alloc; make fires only in noArena oracle mode
+	dx := es.bwd.Alloc(rows * l.in)
 	es.cfg.Gemm(kernel.MatOf(rows, l.in, dx),
 		kernel.MatOf(rows, l.out, dOut.Data),
 		kernel.MatOf(l.in, l.out, l.W.W), false, true, false)
@@ -177,13 +160,8 @@ func (l *ReLU) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 		l.mask = make([]bool, n) //podnas:allow hotalloc mask growth is amortized across calls
 	}
 	l.mask = l.mask[:n]
-	var data []float64
-	if es.engine == EngineReference {
-		data = make([]float64, n) //podnas:allow hotalloc reference engine allocates per call; fused engine uses the arena
-	} else {
-		es.resetFwd()
-		data = es.alloc(es.fwd, n) //podnas:allow hotalloc inlined es.alloc; make fires only in noArena oracle mode
-	}
+	es.resetFwd()
+	data := es.fwd.Alloc(n)
 	for i, v := range x.Data {
 		if v > 0 {
 			l.mask[i] = true
@@ -202,13 +180,8 @@ func (l *ReLU) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 func (l *ReLU) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 	es := l.state() //podnas:allow hotalloc lazy one-time engineState init per layer
 	n := len(dOut.Data)
-	var data []float64
-	if es.engine == EngineReference {
-		data = make([]float64, n) //podnas:allow hotalloc reference engine allocates per call; fused engine uses the arena
-	} else {
-		es.resetBwd()
-		data = es.alloc(es.bwd, n) //podnas:allow hotalloc inlined es.alloc; make fires only in noArena oracle mode
-	}
+	es.resetBwd()
+	data := es.bwd.Alloc(n)
 	for i, v := range dOut.Data {
 		if l.mask[i] {
 			data[i] = v

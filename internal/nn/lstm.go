@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"podnas/internal/kernel"
 	"podnas/internal/tensor"
@@ -19,21 +18,21 @@ import (
 //	c_t = f ∘ c_{t-1} + i ∘ g
 //	h_t = o ∘ tanh(c_t)
 //
-// The default (fused) engine computes the concatenated [i|f|g|o] gate block
-// with one bulk GEMM for the input projection, one packed GEMM per timestep
-// for the recurrence writing straight into strided views of the gate buffer,
-// and one fused activation sweep per row (kernel.LSTMForwardStep). Backward
+// Forward computes the concatenated [i|f|g|o] gate block with one bulk GEMM
+// for the input projection, one packed GEMM per timestep for the recurrence
+// writing straight into strided views of the gate buffer, and one fused
+// activation sweep per row (kernel.LSTMForwardStep). Backward
 // mirrors it with kernel.LSTMBackwardStep plus bulk weight-gradient GEMMs.
 // All scratch comes from the network's arenas, so steady-state training
-// steps allocate nothing here. The reference engine (lstm_ref.go) preserves
-// the pre-kernel four-pass loop bit for bit.
+// steps allocate nothing here. The pre-kernel four-pass loop survives as a
+// test-only oracle (reference_test.go).
 type LSTM struct {
 	engined
 	in, hidden int
 	Wx, Wh, B  *Param
 
-	// Fused-path forward caches (arena-backed, valid until the next
-	// Forward; the returned hidden tensor aliases hs).
+	// Forward caches (arena-backed, valid until the next Forward; the
+	// returned hidden tensor aliases hs).
 	x     *tensor.Tensor3
 	b, t  int
 	gates []float64 // (B,T,4H) post-activation gate values i,f,g,o
@@ -44,9 +43,6 @@ type LSTM struct {
 
 	pbWh  *kernel.PackedB // Wh packed once per Forward, reused every step
 	pbWhT *kernel.PackedB // Whᵀ packed once per Backward for the dh carry
-
-	// Reference-path caches (heap tensors, pre-kernel behavior).
-	rGates, rCells, rTanhC, rHs *tensor.Tensor3
 }
 
 // NewLSTM returns an LSTM layer with Glorot-initialized kernels and the
@@ -69,8 +65,6 @@ func NewLSTM(name string, in, hidden int, rng *tensor.RNG) *LSTM {
 	return l
 }
 
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
 // Forward runs the recurrence over all timesteps of x (B,T,in) and returns
 // the hidden sequence (B,T,hidden). The result aliases arena storage owned
 // by this layer: consume or copy it before the next Forward.
@@ -81,17 +75,14 @@ func (l *LSTM) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 		panic(fmt.Sprintf("nn: LSTM expects %d features, got %d", l.in, x.F))
 	}
 	es := l.state() //podnas:allow hotalloc lazy one-time engineState init per layer
-	if es.engine == EngineReference {
-		return l.forwardRef(x)
-	}
 	es.resetFwd()
 	b, t, h := x.B, x.T, l.hidden
 	h4 := 4 * h
 	l.x, l.b, l.t = x, b, t
-	l.gates = es.alloc(es.fwd, b*t*h4) //podnas:allow hotalloc inlined es.alloc; make fires only in noArena oracle mode
-	l.cells = es.alloc(es.fwd, b*t*h)  //podnas:allow hotalloc inlined es.alloc; make fires only in noArena oracle mode
-	l.tanhC = es.alloc(es.fwd, b*t*h)  //podnas:allow hotalloc inlined es.alloc; make fires only in noArena oracle mode
-	l.hs = es.alloc(es.fwd, b*t*h)     //podnas:allow hotalloc inlined es.alloc; make fires only in noArena oracle mode
+	l.gates = es.fwd.Alloc(b * t * h4)
+	l.cells = es.fwd.Alloc(b * t * h)
+	l.tanhC = es.fwd.Alloc(b * t * h)
+	l.hs = es.fwd.Alloc(b * t * h)
 	if cap(l.zeroH) < h {
 		l.zeroH = make([]float64, h) //podnas:allow hotalloc zeroH growth is amortized across steps
 	}
@@ -156,18 +147,15 @@ func (l *LSTM) forwardSweep(lo, hi, step int) {
 //podnas:hotpath
 func (l *LSTM) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 	es := l.state() //podnas:allow hotalloc lazy one-time engineState init per layer
-	if es.engine == EngineReference {
-		return l.backwardRef(dOut)
-	}
 	if l.x == nil {
 		panic("nn: LSTM.Backward before Forward")
 	}
 	es.resetBwd()
 	b, t, h := l.b, l.t, l.hidden
 	h4 := 4 * h
-	dz := es.alloc(es.bwd, b*t*h4)   //podnas:allow hotalloc pre-activation gate gradients; inlined es.alloc fires only in noArena oracle mode
-	dc := es.allocZero(es.bwd, b*h)  // cell-gradient carry
-	dhn := es.allocZero(es.bwd, b*h) // recurrent hidden-gradient carry
+	dz := es.bwd.Alloc(b * t * h4) // pre-activation gate gradients
+	dc := es.bwd.AllocZero(b * h)  // cell-gradient carry
+	dhn := es.bwd.AllocZero(b * h) // recurrent hidden-gradient carry
 
 	// Whᵀ packed once for the per-step dh_{t-1} = dz_t·Whᵀ recurrence.
 	l.pbWhT = es.cfg.PackB(l.pbWhT, kernel.MatOf(h, h4, l.Wh.W), true)
@@ -201,7 +189,7 @@ func (l *LSTM) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 			l.B.G[j] += v
 		}
 	}
-	dx := es.alloc(es.bwd, b*t*l.in) //podnas:allow hotalloc inlined es.alloc; make fires only in noArena oracle mode
+	dx := es.bwd.Alloc(b * t * l.in)
 	es.cfg.Gemm(kernel.MatOf(b*t, l.in, dx),
 		kernel.MatOf(b*t, h4, dz),
 		kernel.MatOf(l.in, h4, l.Wx.W), false, true, false)

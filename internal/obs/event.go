@@ -6,7 +6,7 @@
 // follows the DeepHyper/Balsam pattern of streaming per-job telemetry: the
 // runners, the worker pool, the checkpointer, and nn.Train each emit events
 // into a Recorder, and sinks (in-memory ring, JSONL file, live metrics,
-// expvar/pprof HTTP) consume them without the producers knowing who is
+// /metrics + pprof HTTP) consume them without the producers knowing who is
 // listening.
 //
 // The package depends only on the standard library and the leaf

@@ -1,22 +1,19 @@
 package obs
 
 import (
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"time"
 )
 
-// Handler returns the observability mux served by `nasrun -obs`: the expvar
-// JSON snapshot at /debug/vars (including any Metrics published there), the
-// full pprof suite under /debug/pprof/, and — when family sources are given
-// — the OpenMetrics exposition at /metrics. Handlers are mounted explicitly
+// Handler returns the observability mux served by `nasrun -obs`: the full
+// pprof suite under /debug/pprof/ and — when family sources are given — the
+// OpenMetrics exposition at /metrics. Handlers are mounted explicitly
 // rather than via the net/http/pprof side-effect registration, so nothing
 // leaks onto http.DefaultServeMux.
 func Handler(metricSources ...func() []Family) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"math"
 	"sync"
 	"time"
@@ -231,8 +230,8 @@ func (m *Metrics) closeEval(e Event) {
 	}
 }
 
-// Snapshot is one consistent view of the live metrics, JSON-encodable for
-// expvar (non-finite values are clamped to zero so encoding never fails).
+// Snapshot is one consistent view of the live metrics, JSON-encodable
+// (non-finite values are clamped to zero so encoding never fails).
 type Snapshot struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	Workers        int     `json:"workers"`
@@ -352,29 +351,4 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// publishMu guards the expvar registry probe: expvar.Publish panics on
-// duplicate names, and Get-then-Publish must be atomic across goroutines.
-var publishMu sync.Mutex
-
-// DefaultVarName is the expvar name nasrun publishes the live snapshot
-// under.
-const DefaultVarName = "podnas.search"
-
-// Publish registers the live snapshot as an expvar Func under name (empty =
-// DefaultVarName), making it visible at /debug/vars. Returns false when the
-// name is already taken (expvar forbids re-registration, e.g. across tests
-// or repeated runs in one process).
-func (m *Metrics) Publish(name string) bool {
-	if name == "" {
-		name = DefaultVarName
-	}
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if expvar.Get(name) != nil {
-		return false
-	}
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
-	return true
 }

@@ -5,16 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sync"
 	"testing"
 	"time"
-
-	"podnas/internal/kernel"
 )
 
 func TestKindJSONRoundTrip(t *testing.T) {
@@ -376,7 +372,7 @@ func TestMetricsWorkerCounters(t *testing.T) {
 
 func TestMetricsSnapshotJSONSafe(t *testing.T) {
 	// A fresh aggregator (best = -Inf internally) must still produce a
-	// JSON-encodable snapshot, or expvar's /debug/vars would break.
+	// JSON-encodable snapshot, as its struct tags promise.
 	m := NewMetrics(1)
 	if _, err := json.Marshal(m.Snapshot()); err != nil {
 		t.Fatalf("empty snapshot not JSON safe: %v", err)
@@ -385,75 +381,6 @@ func TestMetricsSnapshotJSONSafe(t *testing.T) {
 	m.Record(Event{Kind: KindEvalFinish, Eval: 0, Reward: 0.5})
 	if _, err := json.Marshal(m.Snapshot()); err != nil {
 		t.Fatalf("snapshot not JSON safe: %v", err)
-	}
-}
-
-func TestPublishKernelStats(t *testing.T) {
-	name := "podnas.test.kernel"
-	if !PublishKernelStats(name) {
-		t.Fatal("first kernel-stats publish failed")
-	}
-	if PublishKernelStats(name) {
-		t.Error("second publish under the same name must refuse")
-	}
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatal("kernel stats not registered")
-	}
-	var s kernel.Stats
-	if err := json.Unmarshal([]byte(v.String()), &s); err != nil {
-		t.Fatalf("kernel stats snapshot is not JSON: %v", err)
-	}
-}
-
-func TestPublishAndHTTPHandler(t *testing.T) {
-	m := NewMetrics(2)
-	m.Record(Event{Kind: KindEvalStart, Eval: 0})
-	m.Record(Event{Kind: KindEvalFinish, Eval: 0, Reward: 0.42, Arch: "x"})
-	name := "podnas.test.metrics"
-	if !m.Publish(name) {
-		t.Fatal("first publish failed")
-	}
-	if m.Publish(name) {
-		t.Error("second publish under the same name must refuse")
-	}
-	srv, ln, err := Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + ln.Addr().String() + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	raw, ok := vars[name]
-	if !ok {
-		t.Fatalf("%s missing from /debug/vars", name)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Successes != 1 || snap.BestReward != 0.42 {
-		t.Errorf("served snapshot %+v", snap)
-	}
-	// pprof index must answer too.
-	pp, err := http.Get("http://" + ln.Addr().String() + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp.Body.Close()
-	if pp.StatusCode != http.StatusOK {
-		t.Errorf("pprof status %d", pp.StatusCode)
 	}
 }
 

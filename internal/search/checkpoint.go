@@ -63,16 +63,12 @@ func SealEnvelope(payload []byte) ([]byte, error) {
 // OpenEnvelope verifies the envelope around data and returns the inner
 // payload. name is used in error messages only (typically the file path).
 // Truncation, corruption, a CRC mismatch, or an unknown schema version all
-// fail with errors wrapping ErrBadCheckpoint. Legacy pre-envelope documents
-// (version 0, no payload field) are returned whole, without a CRC check.
+// fail with errors wrapping ErrBadCheckpoint; so does a document with no
+// envelope at all (it reads as version 0), since nothing vouches for it.
 func OpenEnvelope(name string, data []byte) ([]byte, error) {
 	var env checkpointEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("search: %w: %s is truncated or not valid JSON: %w", ErrBadCheckpoint, name, err)
-	}
-	if env.Version == 0 && env.Payload == nil {
-		// Legacy pre-envelope file: the whole document is the payload.
-		return data, nil
 	}
 	if env.Version != CheckpointVersion {
 		return nil, fmt.Errorf("search: %w: %s has schema version %d, this build reads version %d", ErrBadCheckpoint, name, env.Version, CheckpointVersion)
@@ -187,8 +183,8 @@ func (ck *Checkpoint) applyRL(agents []*PPOAgent) ([]Result, error) {
 
 // LoadCheckpoint reads a checkpoint written by a Checkpointer, verifying
 // the schema version and payload CRC32. A truncated or corrupted file is
-// rejected with a clear error. Version-0 files (written before the
-// integrity envelope existed) are still accepted, without a CRC check.
+// rejected with a clear error, and so is a file without the envelope: a
+// checkpoint that lost it cannot be verified.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

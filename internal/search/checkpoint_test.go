@@ -487,9 +487,9 @@ func TestCheckpointVersionRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointLegacyFormatAccepted: pre-envelope files (plain Checkpoint
-// JSON, no version or CRC) still load, so old runs stay resumable.
-func TestCheckpointLegacyFormatAccepted(t *testing.T) {
+// TestCheckpointLegacyFormatRejected: a plain Checkpoint document with no
+// version or CRC around it cannot be verified, so it does not load.
+func TestCheckpointLegacyFormatRejected(t *testing.T) {
 	path, _ := writeTestCheckpoint(t)
 	ck, err := LoadCheckpoint(path)
 	if err != nil {
@@ -502,12 +502,8 @@ func TestCheckpointLegacyFormatAccepted(t *testing.T) {
 	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
-	}
-	if got.NumResults() != ck.NumResults() || got.Kind != ck.Kind {
-		t.Fatalf("legacy load mangled state: %+v", got)
+	if _, err := LoadCheckpoint(path); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("unenveloped checkpoint loaded unverified: %v", err)
 	}
 }
 
@@ -547,8 +543,8 @@ func TestCheckpointWriteSyncs(t *testing.T) {
 
 // TestEnvelopeSealOpenRoundTrip pins the exported envelope helpers other
 // durable stores (the nasd job manifests) build on: seal→open returns the
-// payload, corruption and truncation are rejected with ErrBadCheckpoint,
-// and legacy bare documents pass through.
+// payload; corruption, truncation and bare unenveloped documents are
+// rejected with ErrBadCheckpoint.
 func TestEnvelopeSealOpenRoundTrip(t *testing.T) {
 	payload := []byte(`{"kind":"RS","results":[]}`)
 	sealed, err := SealEnvelope(payload)
@@ -580,10 +576,8 @@ func TestEnvelopeSealOpenRoundTrip(t *testing.T) {
 	if _, err := OpenEnvelope("test", sealed[:len(sealed)/2]); !errors.Is(err, ErrBadCheckpoint) {
 		t.Errorf("truncated envelope opened: %v", err)
 	}
-	// Legacy pre-envelope documents (no version, no payload) pass through.
-	legacy := []byte(`{"kind":"RS"}`)
-	back, err = OpenEnvelope("test", legacy)
-	if err != nil || string(back) != string(legacy) {
-		t.Errorf("legacy document rejected: %q, %v", back, err)
+	// A bare document (no version, no payload) has no CRC to check.
+	if _, err := OpenEnvelope("test", []byte(`{"kind":"RS"}`)); !errors.Is(err, ErrBadCheckpoint) {
+		t.Errorf("unenveloped document opened: %v", err)
 	}
 }

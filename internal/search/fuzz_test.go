@@ -1,6 +1,7 @@
 package search
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,11 +9,11 @@ import (
 	"podnas/internal/arch"
 )
 
-// FuzzCheckpointDecode drives LoadCheckpoint — the CRC32 envelope parser
-// plus the legacy pre-envelope fallback — with arbitrary file contents. The
-// contract under fuzzing: never panic, and never return a nil error for a
-// checkpoint without searcher state (resuming from one would corrupt a
-// run).
+// FuzzCheckpointDecode drives LoadCheckpoint — the CRC32 envelope parser —
+// with arbitrary file contents. The contract under fuzzing: never panic,
+// and never return a nil error for a document outside the integrity
+// envelope or a checkpoint without searcher state (resuming from either
+// would corrupt a run).
 func FuzzCheckpointDecode(f *testing.F) {
 	// Seed with a genuine envelope written by the production writer.
 	seedDir := f.TempDir()
@@ -29,7 +30,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Fatalf("read seed checkpoint: %v", err)
 	}
 	f.Add(data)
-	// Legacy pre-envelope document, truncations, and corruptions.
+	// Unenveloped document, truncations, and corruptions.
 	f.Add([]byte(`{"kind":"RS","results":[{"index":0,"arch":[1,2],"reward":0.5}]}`))
 	f.Add([]byte(`{"version":1,"crc32":123,"payload":{"kind":"RS","results":[]}}`))
 	f.Add([]byte(`{"version":99,"crc32":0,"payload":{}}`))
@@ -45,6 +46,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 		ck, err := LoadCheckpoint(path)
 		if err != nil {
 			return
+		}
+		var env struct {
+			Version int             `json:"version"`
+			Payload json.RawMessage `json:"payload"`
+		}
+		if err := json.Unmarshal(data, &env); err != nil || env.Version != CheckpointVersion || env.Payload == nil {
+			t.Fatalf("LoadCheckpoint accepted a document outside the envelope: %q", data)
 		}
 		if ck.Kind == "" {
 			t.Fatalf("LoadCheckpoint accepted a checkpoint with no kind: %q", data)

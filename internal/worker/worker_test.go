@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"podnas/internal/arch"
+	"podnas/internal/obs"
 	"podnas/internal/search"
 	"podnas/internal/tensor"
 	"podnas/internal/worker"
@@ -383,6 +384,16 @@ func TestPoolHeartbeatTimeout(t *testing.T) {
 	}
 }
 
+// spawnWatch is a Recorder that forwards the slot of every worker-spawn
+// event, so a test can wait for attachments instead of sleeping.
+type spawnWatch chan int
+
+func (s spawnWatch) Record(e obs.Event) {
+	if e.Kind == obs.KindWorkerSpawn {
+		s <- e.Worker
+	}
+}
+
 // TestPoolSpeculativeReexecution parks one straggler worker and asserts the
 // speculative copy on the healthy worker wins while the loser is cancelled.
 func TestPoolSpeculativeReexecution(t *testing.T) {
@@ -395,43 +406,51 @@ func TestPoolSpeculativeReexecution(t *testing.T) {
 		}
 		return nil
 	})
+	// Sized to the most spawn events the restart budget allows, so Record
+	// never blocks a supervisor.
+	spawned := make(spawnWatch, opts.Workers*(opts.MaxRestarts+1))
+	opts.Recorder = spawned
 	pool, err := worker.NewPool(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
-	// Two concurrent evaluations: exactly one lands on the straggler. Its
-	// speculative copy must finish on the healthy worker long before 30s.
-	space := arch.Default()
-	rng := tensor.NewRNG(2)
-	type out struct {
-		reward float64
-		err    error
-		want   float64
-	}
-	results := make(chan out, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	for i := 0; i < 2; i++ {
-		a, seed := space.Random(rng), uint64(100+i)
-		go func() {
-			r, err := pool.EvaluateCtx(ctx, a, seed)
-			results <- out{r, err, mockReward(a, seed)}
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		o := <-results
-		if o.err != nil {
-			t.Fatalf("evaluation errored: %v", o.err)
-		}
-		if o.reward != o.want {
-			t.Fatalf("reward %v, want %v", o.reward, o.want)
+
+	// Readiness is explicit: both slots attached before anything is
+	// submitted, or the healthy slot alone would drain the queue.
+	for attached := map[int]bool{}; len(attached) < opts.Workers; {
+		select {
+		case slot := <-spawned:
+			attached[slot] = true
+		case <-ctx.Done():
+			t.Fatalf("slots %v attached, want %d", attached, opts.Workers)
 		}
 	}
-	st := pool.Stats()
-	if st.SpeculativeRuns < 1 || st.SpeculativeWins < 1 {
-		t.Fatalf("straggler not speculatively re-executed: stats %+v", st)
+	if ids := pool.Identities(); len(ids) != opts.Workers {
+		t.Fatalf("identities %v, want %d attached slots", ids, opts.Workers)
+	}
+
+	// An evaluation either comes back at once (the healthy slot took it) or
+	// is held by the straggler until its speculative copy wins on the
+	// healthy slot, long before the 30s are up. Which idle slot takes one is
+	// the scheduler's choice, so submit one at a time until one was held.
+	space := arch.Default()
+	rng := tensor.NewRNG(2)
+	for seed := uint64(100); pool.Stats().SpeculativeWins < 1; seed++ {
+		a := space.Random(rng)
+		r, err := pool.EvaluateCtx(ctx, a, seed)
+		if err != nil {
+			t.Fatalf("evaluation errored: %v (stats %+v)", err, pool.Stats())
+		}
+		if want := mockReward(a, seed); r != want {
+			t.Fatalf("reward %v, want %v", r, want)
+		}
+	}
+	if st := pool.Stats(); st.SpeculativeRuns < 1 {
+		t.Fatalf("speculative win without a speculative run: stats %+v", st)
 	}
 }
 
