@@ -5,8 +5,13 @@ package kernel
 // On non-amd64 targets the SIMD feature flags are always false, so these
 // are never reached; they exist to keep the dispatch switch compiling.
 
-func gemmKernel6x8(c, a, b *float64, kc, ldc int64)  { panic("kernel: no AVX2 on this arch") }
-func gemmKernel8x16(c, a, b *float64, kc, ldc int64) { panic("kernel: no AVX-512 on this arch") }
+func gemmKernel6x8(c, a, b *float64, kc, ldc, ars, acs, bps int64, store bool) {
+	panic("kernel: no AVX2 on this arch")
+}
+
+func gemmKernel8x16(c, a, b *float64, kc, ldc, ars, acs, bps int64, store bool) {
+	panic("kernel: no AVX-512 on this arch")
+}
 
 func lstmFwdAVX512(z, cPrev, c, tanhC, h *float64, n, stride int64) int64 {
 	panic("kernel: no AVX-512 on this arch")

@@ -5,39 +5,46 @@ import (
 	"testing"
 )
 
-// The benchmark shapes are the BPTT hot shapes for the paper's widest
-// search-space cell (H=80..96, batch 64, 4H gate blocks).
-var benchShapes = [][3]int{
-	{64, 80, 320}, // h·Wh recurrent step
-	{64, 320, 80}, // dz·Whᵀ
-	{80, 64, 320}, // hᵀ·dz weight gradient
-	{512, 5, 320}, // X·Wx bulk input projection
-	{128, 128, 128},
+// benchCases are the ten shapes one paper evaluation and the pipeline's
+// set-up issue: a 96-unit LSTM over (batch 64, T=8) windows — so one
+// timestep of a (B,T,F) buffer is a view of stride T·F — plus batch-1
+// inference, and POD's Gram and projection products over the default
+// 10 700×427 snapshot matrix.
+var benchCases = []gemmCase{
+	{name: "h.Wh", m: 64, k: 96, n: 384, accumulate: true, lda: 8 * 96, ldc: 8 * 384},
+	{name: "dz.WhT", m: 64, k: 384, n: 96, transB: true, packed: true, lda: 8 * 384},
+	{name: "X.Wx", m: 512, k: 96, n: 384},
+	{name: "dZ.WxT", m: 512, k: 384, n: 96, transB: true},
+	{name: "dZ.WxT_in5", m: 512, k: 384, n: 5, transB: true},
+	{name: "batch1", m: 1, k: 96, n: 384},
+	{name: "hT.dz", m: 96, k: 64, n: 384, transA: true, accumulate: true, lda: 8 * 96, ldb: 8 * 384},
+	{name: "XT.dZ", m: 96, k: 512, n: 384, transA: true, accumulate: true},
+	{name: "gram", m: 427, k: 10700, n: 427, transA: true, accumulate: true},
+	{name: "project", m: 5, k: 10700, n: 427, transA: true},
 }
 
+// BenchmarkGemm reports single-worker GFLOP/s per shape on the host's
+// best micro-kernel family ("kernel") and the pure-Go one ("generic").
 func BenchmarkGemm(b *testing.B) {
-	for _, sh := range benchShapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		for _, mode := range []string{"kernel", "generic", "ref"} {
-			b.Run(fmt.Sprintf("%s/m%dk%dn%d", mode, m, k, n), func(b *testing.B) {
-				r := &testRNG{s: 1}
-				a := randMat(r, m, k)
-				bm := randMat(r, k, n)
-				dst := MatOf(m, n, make([]float64, m*n))
-				b.SetBytes(int64(8 * (m*k + k*n + m*n)))
+	for _, g := range benchCases {
+		for _, mode := range []string{"kernel", "generic"} {
+			b.Run(fmt.Sprintf("%s/%s_%dx%dx%d", mode, g.name, g.m, g.k, g.n), func(b *testing.B) {
+				cfg := Config{Workers: 1, ForceGeneric: mode == "generic"}
+				dst, a, bm := g.operands(&testRNG{s: 1}, heap)
+				var pb *PackedB
+				if g.packed {
+					pb = cfg.PackB(nil, bm, g.transB)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					switch mode {
-					case "kernel":
-						Config{Workers: 1}.Gemm(dst, a, bm, false, false, false)
-					case "generic":
-						Config{Workers: 1, ForceGeneric: true}.Gemm(dst, a, bm, false, false, false)
-					default:
-						RefGemm(dst, a, bm, false, false, false)
+					if g.packed {
+						cfg.GemmPacked(dst, a, g.transA, pb, g.accumulate)
+					} else {
+						cfg.Gemm(dst, a, bm, g.transA, g.transB, g.accumulate)
 					}
 				}
-				flops := float64(2*m*k*n) * float64(b.N)
+				flops := 2 * float64(g.m) * float64(g.k) * float64(g.n) * float64(b.N)
 				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}

@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// Micro-kernel families. The asm kernels accumulate a full mr×nr tile
-// of C from zero-padded packed panels; the generic path is the pure-Go
-// fallback with the same packing contract.
+// Micro-kernel families. Each computes a full mr×nr tile of C over the
+// whole of k, reading A and B through strides (see callKernel); the asm
+// kernels and the pure-Go fallback share that contract.
 const (
 	isaGeneric = iota
 	isaAVX2
@@ -41,18 +41,24 @@ func (c Config) isa() int {
 }
 
 // PackedB is op(B) repacked into zero-padded nr-wide column panels, the
-// form the micro-kernels stream. Packing is the dominant per-call
-// overhead for small GEMMs, so hot loops that reuse one right-hand side
-// across many calls (the LSTM recurrence reuses Wh for every timestep)
-// pack once with PackB and call GemmPacked.
+// form a micro-kernel streams with unit stride. Gemm itself packs only
+// what it cannot read where it lies (see Gemm); a caller that multiplies
+// many left-hand sides by one transposed right-hand side (the LSTM's
+// dz·Whᵀ carry, once per timestep) packs it once with PackB and calls
+// GemmPacked, saving the per-call transposing gather.
 //
 // A PackedB is tied to the micro-kernel family of the Config that
-// packed it; use it with a Config resolving to the same family.
+// packed it; GemmPacked panics under a Config resolving to another.
 type PackedB struct {
 	k, n   int
 	isa    int
 	mr, nr int
-	buf    []float64
+	// Panels [0, inPlace) are read from src through its row stride;
+	// panels [inPlace, nb) are packed in buf, k·nr floats each. Only
+	// Gemm sets src and a non-zero inPlace, for the length of a call.
+	src     Mat
+	inPlace int
+	buf     []float64
 }
 
 // PackB packs op(B) (k×n, where op is the identity or the transpose)
@@ -61,6 +67,41 @@ type PackedB struct {
 //
 //podnas:hotpath
 func (c Config) PackB(pb *PackedB, b Mat, transB bool) *PackedB {
+	if pb == nil {
+		pb = &PackedB{} //podnas:allow hotalloc nil-pb lazy construction; steady-state callers pass a reused pb
+	}
+	pb.pack(c.isa(), b, transB, 0)
+	return pb
+}
+
+// maxStridedSpan is the longest walk, in floats from a panel's first
+// row to its last, that the micro-kernels make through an operand left
+// in place when consecutive p lie a row stride apart (non-transposed B,
+// transposed A): 2 MiB, 512 pages. The kernels prefetch the rows ahead,
+// so up to here a strided panel streams as fast as a packed one; past
+// it the two operands' pages outrun the second-level TLB and every tile
+// that re-reads the panel pays the page walks again (POD's Gram SᵀS
+// walks 36 MB per panel and runs at half speed in place), so copying
+// the panel into contiguous scratch once wins.
+const maxStridedSpan = 1 << 18
+
+// streamsInPlace reports whether a panel of k rows lying stride floats
+// apart, each row `width` floats of which the kernel uses, that `readers`
+// tiles will each walk end to end, is better read where it lies than
+// copied into contiguous scratch first. A row must cover more than half
+// a 64-byte cache line, or most of every line fetched is thrown away
+// (the 4×4 kernel's rows do not); then a short walk always is, and so is
+// any walk made only once.
+func streamsInPlace(k, stride, width, readers int) bool {
+	return width > 4 && (readers <= 1 || k*stride <= maxStridedSpan)
+}
+
+// pack copies the column panels of op(B) from inPlace on into pb's
+// buffer, zero-padding a ragged last one (a kernel always reads nr
+// columns); the caller reads the panels before inPlace where they lie.
+//
+//podnas:hotpath
+func (pb *PackedB) pack(isa int, b Mat, transB bool, inPlace int) {
 	if !b.ok() {
 		panic(fmt.Sprintf("kernel: PackB bad view %dx%d stride %d over %d floats", b.R, b.C, b.Stride, len(b.Data)))
 	}
@@ -68,45 +109,33 @@ func (c Config) PackB(pb *PackedB, b Mat, transB bool) *PackedB {
 	if transB {
 		k, n = b.C, b.R
 	}
-	if pb == nil {
-		pb = &PackedB{} //podnas:allow hotalloc nil-pb lazy construction; steady-state callers pass a reused pb
-	}
 	pb.k, pb.n = k, n
-	pb.isa = c.isa()
-	pb.mr, pb.nr = isaDims(pb.isa)
+	pb.isa = isa
+	pb.mr, pb.nr = isaDims(isa)
 	nr := pb.nr
 	nb := (n + nr - 1) / nr
-	need := nb * k * nr
+	pb.inPlace = inPlace
+	need := (nb - inPlace) * k * nr
 	if cap(pb.buf) < need {
 		pb.buf = make([]float64, need) //podnas:allow hotalloc pack-buffer growth only; reused across calls
 	}
 	pb.buf = pb.buf[:need]
-	for jb := 0; jb < nb; jb++ {
+	for jb := inPlace; jb < nb; jb++ {
 		j0 := jb * nr
 		w := min(nr, n-j0)
-		panel := pb.buf[jb*k*nr : (jb+1)*k*nr]
-		if transB {
-			for p := 0; p < k; p++ {
-				drow := panel[p*nr : p*nr+nr]
+		panel := pb.buf[(jb-inPlace)*k*nr:][:k*nr]
+		for p := 0; p < k; p++ {
+			drow := panel[p*nr : p*nr+nr]
+			if transB {
 				for jr := 0; jr < w; jr++ {
 					drow[jr] = b.Data[(j0+jr)*b.Stride+p]
 				}
-				for jr := w; jr < nr; jr++ {
-					drow[jr] = 0
-				}
+			} else {
+				copy(drow, b.Data[p*b.Stride+j0:p*b.Stride+j0+w])
 			}
-		} else {
-			for p := 0; p < k; p++ {
-				brow := b.Data[p*b.Stride+j0 : p*b.Stride+j0+w]
-				drow := panel[p*nr : p*nr+nr]
-				copy(drow, brow)
-				for jr := w; jr < nr; jr++ {
-					drow[jr] = 0
-				}
-			}
+			clear(drow[w:])
 		}
 	}
-	return pb
 }
 
 // scratch is the per-worker packing buffer set, pooled so steady-state
@@ -125,11 +154,35 @@ var packPool = sync.Pool{New: func() any { return &PackedB{} }}
 // must be preshaped (m×n) and must not alias a or b. This is the single
 // entry point the tensor MatMul* family wraps.
 //
+// The micro-kernels read op(A) and B through their strides where the
+// caller keeps them; only a transposed B, a ragged last row block or
+// column panel, and an operand whose strided walk streamsInPlace rules
+// out are copied into packed scratch first.
+//
 //podnas:hotpath
 func (c Config) Gemm(dst, a, b Mat, transA, transB, accumulate bool) {
+	c.gemm(c.isa(), dst, a, b, transA, transB, accumulate)
+}
+
+// gemm is Gemm on a given micro-kernel family (the tests' seam for
+// driving every family the host has).
+//
+//podnas:hotpath
+func (c Config) gemm(isa int, dst, a, b Mat, transA, transB, accumulate bool) {
+	mr, nr := isaDims(isa)
+	m := a.R
+	if transA {
+		m = a.C
+	}
+	inPlace := 0
+	if !transB && streamsInPlace(b.R, b.Stride, nr, (m+mr-1)/mr) {
+		inPlace = b.C / nr
+	}
 	pb := packPool.Get().(*PackedB)
-	pb = c.PackB(pb, b, transB)
-	c.GemmPacked(dst, a, transA, pb, accumulate)
+	pb.pack(isa, b, transB, inPlace)
+	pb.src = b
+	c.gemmPacked(dst, a, transA, pb, accumulate)
+	pb.src = Mat{} // the pool must not keep the caller's matrix alive
 	packPool.Put(pb)
 }
 
@@ -141,10 +194,21 @@ func Gemm(dst, a, b Mat, transA, transB, accumulate bool) {
 	Config{}.Gemm(dst, a, b, transA, transB, accumulate)
 }
 
-// GemmPacked is Gemm with the right-hand side already packed by PackB.
+// GemmPacked is Gemm with the right-hand side already packed by PackB
+// under a Config of the same micro-kernel family.
 //
 //podnas:hotpath
 func (c Config) GemmPacked(dst, a Mat, transA bool, pb *PackedB, accumulate bool) {
+	if pb.isa != c.isa() {
+		panic(fmt.Sprintf("kernel: GemmPacked micro-kernel family %d, B was packed for %d", c.isa(), pb.isa))
+	}
+	c.gemmPacked(dst, a, transA, pb, accumulate)
+}
+
+// gemmPacked checks shapes, counts the call and fans row blocks out.
+//
+//podnas:hotpath
+func (c Config) gemmPacked(dst, a Mat, transA bool, pb *PackedB, accumulate bool) {
 	if !dst.ok() || !a.ok() {
 		panic(fmt.Sprintf("kernel: Gemm bad view dst %dx%d/%d a %dx%d/%d", dst.R, dst.C, dst.Stride, a.R, a.C, a.Stride))
 	}
@@ -174,107 +238,125 @@ func (c Config) GemmPacked(dst, a Mat, transA bool, pb *PackedB, accumulate bool
 }
 
 // gemmRowBlock computes rows [lo, hi) of dst — the per-worker unit of
-// GemmPacked. Row blocks are disjoint, so any partition of [0, m) into
-// aligned blocks yields bit-identical results.
+// gemmPacked. Row blocks are disjoint, so any partition of [0, m) into
+// aligned blocks yields bit-identical results. Every tile is one kernel
+// call over the whole of k, whether its operands are read in place or
+// from packed copies, so each output element sums the same products in
+// the same order either way.
 //
 //podnas:hotpath
 func gemmRowBlock(dst, a Mat, transA bool, pb *PackedB, accumulate bool, lo, hi int) {
 	k, n := pb.k, pb.n
 	mr, nr := pb.mr, pb.nr
-	nb := (n + nr - 1) / nr
-	{
-		if !accumulate {
-			for i := lo; i < hi; i++ {
-				row := dst.Data[i*dst.Stride : i*dst.Stride+n]
-				for j := range row {
-					row[j] = 0
-				}
-			}
+	if k == 0 { // no panel to point a kernel at; the empty sum is +0
+		for i := lo; i < hi && !accumulate; i++ {
+			clear(dst.Data[i*dst.Stride : i*dst.Stride+n])
 		}
-		if k == 0 {
-			return
-		}
-		s := scratchPool.Get().(*scratch)
-		if cap(s.ap) < k*mr {
-			s.ap = make([]float64, k*mr) //podnas:allow hotalloc pooled scratch growth only; reused via scratchPool
-		}
-		ap := s.ap[:k*mr]
-		for i0 := lo; i0 < hi; i0 += mr {
-			h := min(mr, hi-i0)
-			// Pack the A panel for this row block: p-major, mr-wide,
-			// zero-padded, absorbing stride and transpose.
-			if transA {
-				for p := 0; p < k; p++ {
-					arow := a.Data[p*a.Stride:]
-					for ir := 0; ir < h; ir++ {
-						ap[p*mr+ir] = arow[i0+ir]
-					}
-					for ir := h; ir < mr; ir++ {
-						ap[p*mr+ir] = 0
-					}
-				}
-			} else {
-				for p := 0; p < k; p++ {
-					for ir := 0; ir < h; ir++ {
-						ap[p*mr+ir] = a.Data[(i0+ir)*a.Stride+p]
-					}
-					for ir := h; ir < mr; ir++ {
-						ap[p*mr+ir] = 0
-					}
-				}
-			}
-			for jb := 0; jb < nb; jb++ {
-				j0 := jb * nr
-				w := min(nr, n-j0)
-				bp := pb.buf[jb*k*nr:]
-				if h == mr && w == nr {
-					callKernel(pb.isa, dst.Data[i0*dst.Stride+j0:], ap, bp, k, dst.Stride)
-					continue
-				}
-				// Edge tile: run the kernel into a zeroed scratch tile,
-				// then fold the live h×w corner into dst.
-				for i := range s.ct[:mr*nr] {
-					s.ct[i] = 0
-				}
-				callKernel(pb.isa, s.ct[:], ap, bp, k, nr)
-				for ir := 0; ir < h; ir++ {
-					drow := dst.Data[(i0+ir)*dst.Stride+j0:]
-					trow := s.ct[ir*nr:]
-					for jr := 0; jr < w; jr++ {
-						drow[jr] += trow[jr]
-					}
-				}
-			}
-		}
-		scratchPool.Put(s)
+		return
 	}
+	nb := (n + nr - 1) / nr
+	// A is read in place as (ars, acs): rows a stride apart and p unit
+	// stride, or for Aᵀ the reverse — unless p then walks too far.
+	ars, acs, aInPlace := a.Stride, 1, true
+	if transA {
+		ars, acs, aInPlace = 1, a.Stride, streamsInPlace(k, a.Stride, mr, nb)
+	}
+	s := scratchPool.Get().(*scratch)
+	if cap(s.ap) < k*mr {
+		s.ap = make([]float64, k*mr) //podnas:allow hotalloc pooled scratch growth only; reused via scratchPool
+	}
+	for i0 := lo; i0 < hi; i0 += mr {
+		h := min(mr, hi-i0)
+		at, atRS, atCS := a.Data[i0*ars:], ars, acs
+		if h < mr || !aInPlace {
+			// Pack the A panel: p-major, mr-wide, zero-padded.
+			src := at
+			at, atRS, atCS = s.ap[:k*mr], 1, mr
+			for p := 0; p < k; p++ {
+				arow := at[p*mr : p*mr+mr]
+				if transA {
+					copy(arow[:h], src[p*acs:])
+				} else {
+					for ir := 0; ir < h; ir++ {
+						arow[ir] = src[ir*ars+p]
+					}
+				}
+				clear(arow[h:])
+			}
+		}
+		for jb := 0; jb < nb; jb++ {
+			j0 := jb * nr
+			w := min(nr, n-j0)
+			bt, bps := pb.buf, nr
+			if jb < pb.inPlace {
+				bt, bps = pb.src.Data[j0:], pb.src.Stride
+			} else {
+				bt = bt[(jb-pb.inPlace)*k*nr:]
+			}
+			if h == mr && w == nr {
+				callKernel(pb.isa, dst.Data[i0*dst.Stride+j0:], dst.Stride, at, atRS, atCS, bt, bps, k, !accumulate)
+				continue
+			}
+			// Edge tile: the kernel stores into a scratch tile, whose
+			// live h×w corner then goes into dst.
+			callKernel(pb.isa, s.ct[:], nr, at, atRS, atCS, bt, bps, k, true)
+			for ir := 0; ir < h; ir++ {
+				drow := dst.Data[(i0+ir)*dst.Stride+j0:][:w]
+				trow := s.ct[ir*nr:][:w]
+				if accumulate {
+					for jr, v := range trow {
+						drow[jr] += v
+					}
+				} else {
+					copy(drow, trow)
+				}
+			}
+		}
+	}
+	scratchPool.Put(s)
 }
 
-// callKernel dispatches one register tile: C(mr×nr, row stride ldc) +=
-// Apanel(kc×mr packed) · Bpanel(kc×nr packed).
-func callKernel(isa int, c, ap, bp []float64, kc, ldc int) {
+// callKernel dispatches one register tile: C (mr×nr, row stride ldc) +=
+// A·B over kc products, or = when store is set, with A(i,p) at
+// a[i*ars+p*acs] and B's row p at b[p*bps:][:nr]. Packed panels are the
+// strides (1, mr, nr).
+func callKernel(isa int, c []float64, ldc int, a []float64, ars, acs int, b []float64, bps, kc int, store bool) {
 	switch isa {
 	case isaAVX512:
-		gemmKernel8x16(&c[0], &ap[0], &bp[0], int64(kc), int64(ldc))
+		gemmKernel8x16(&c[0], &a[0], &b[0], int64(kc), int64(ldc), int64(ars), int64(acs), int64(bps), store)
 	case isaAVX2:
-		gemmKernel6x8(&c[0], &ap[0], &bp[0], int64(kc), int64(ldc))
+		gemmKernel6x8(&c[0], &a[0], &b[0], int64(kc), int64(ldc), int64(ars), int64(acs), int64(bps), store)
 	default:
-		gemmKernel4x4(c, ap, bp, kc, ldc)
+		gemmKernel4x4(c, ldc, a, ars, acs, b, bps, kc, store)
 	}
 }
 
 // gemmKernel4x4 is the pure-Go micro-kernel (mr=nr=4): sixteen scalar
 // accumulators the compiler keeps in registers.
-func gemmKernel4x4(c, ap, bp []float64, kc, ldc int) {
+func gemmKernel4x4(c []float64, ldc int, a []float64, ars, acs int, b []float64, bps, kc int, store bool) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
 	var c20, c21, c22, c23 float64
 	var c30, c31, c32, c33 float64
+	// The two layouts a caller hands over, each indexed so that the
+	// compiler drops the per-element bounds checks: four rows walked
+	// contiguously (A in place), or four contiguous values per p (Aᵀ in
+	// place, packed panels).
+	var r0, r1, r2, r3 []float64
+	if acs == 1 {
+		r0 = a[:kc]
+		r1, r2, r3 = a[ars:][:len(r0)], a[2*ars:][:len(r0)], a[3*ars:][:len(r0)]
+	}
 	for p := 0; p < kc; p++ {
-		a := ap[p*4 : p*4+4]
-		b := bp[p*4 : p*4+4]
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+		var a0, a1, a2, a3 float64
+		if acs == 1 {
+			a0, a1, a2, a3 = r0[p], r1[p], r2[p], r3[p]
+		} else {
+			ap := a[p*acs : p*acs+4]
+			a0, a1, a2, a3 = ap[0], ap[1], ap[2], ap[3]
+		}
+		bp := b[p*bps : p*bps+4]
+		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 		c00 += a0 * b0
 		c01 += a0 * b1
 		c02 += a0 * b2
@@ -292,20 +374,15 @@ func gemmKernel4x4(c, ap, bp []float64, kc, ldc int) {
 		c32 += a3 * b2
 		c33 += a3 * b3
 	}
-	c[0] += c00
-	c[1] += c01
-	c[2] += c02
-	c[3] += c03
-	c[ldc+0] += c10
-	c[ldc+1] += c11
-	c[ldc+2] += c12
-	c[ldc+3] += c13
-	c[2*ldc+0] += c20
-	c[2*ldc+1] += c21
-	c[2*ldc+2] += c22
-	c[2*ldc+3] += c23
-	c[3*ldc+0] += c30
-	c[3*ldc+1] += c31
-	c[3*ldc+2] += c32
-	c[3*ldc+3] += c33
+	acc := [4][4]float64{{c00, c01, c02, c03}, {c10, c11, c12, c13}, {c20, c21, c22, c23}, {c30, c31, c32, c33}}
+	for i := range acc {
+		crow := c[i*ldc : i*ldc+4]
+		for j, v := range acc[i] {
+			if store {
+				crow[j] = v + 0 // −0 → +0, as zeroing then adding leaves it
+			} else {
+				crow[j] += v
+			}
+		}
+	}
 }

@@ -2,15 +2,67 @@
 
 #include "textflag.h"
 
-// func gemmKernel6x8(c, a, b *float64, kc, ldc int64)
-// C (6x8, row stride ldc doubles) += A-panel (kc x 6, packed) * B-panel (kc x 8, packed)
-TEXT ·gemmKernel6x8(SB), NOSPLIT, $0-40
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ kc+24(FP), CX
-	MOVQ ldc+32(FP), R8
-	SHLQ $3, R8            // row stride in bytes
+// Both micro-kernels share one stride-aware contract:
+//
+//	func gemmKernelMRxNR(c, a, b *float64, kc, ldc, ars, acs, bps int64, store bool)
+//
+// C (mr×nr, row stride ldc) gets the sum over p < kc of A(i,p)·B(p,j), with
+// A(i,p) at a[i*ars + p*acs] and B's row p (nr contiguous doubles) at
+// b[p*bps]; all strides are in doubles. With store false the sum is added to
+// C; otherwise C is overwritten with sum + 0, which is what zeroing C and
+// adding would leave (the + 0 turns an underflowed −0 sum into +0). Exactly
+// the mr·kc elements of A, nr·kc of B and mr·nr of C named above are
+// loaded or stored, so the operands may be read where the caller keeps
+// them. The loop also prefetches A and B eight steps of p ahead: rows a large
+// stride apart defeat the hardware prefetchers, and a prefetch, unlike a
+// load, may name memory past the operand (it never faults).
+
+// Register use, both kernels: DI c, SI a, DX b, CX kc, R8 ldc, AX acs,
+// BX bps, R10 ars, R11 3·ars, R12 5·ars, R13 7·ars (all strides in bytes).
+#define LOAD_ARGS \
+	MOVQ c+0(FP), DI \
+	MOVQ a+8(FP), SI \
+	MOVQ b+16(FP), DX \
+	MOVQ kc+24(FP), CX \
+	MOVQ ldc+32(FP), R8 \
+	MOVQ ars+40(FP), R10 \
+	MOVQ acs+48(FP), AX \
+	MOVQ bps+56(FP), BX \
+	SHLQ $3, R8 \
+	SHLQ $3, R10 \
+	SHLQ $3, AX \
+	SHLQ $3, BX \
+	LEAQ (R10)(R10*2), R11 \
+	LEAQ (R10)(R10*4), R12 \
+	LEAQ (R11)(R10*4), R13
+
+// PREFETCH_AHEAD touches the first and last byte of B's row, and A's
+// column, eight steps of p ahead.
+#define PREFETCH_AHEAD(lastByte) \
+	PREFETCHT0 (DX)(BX*8) \
+	PREFETCHT0 lastByte(DX)(BX*8) \
+	PREFETCHT0 (SI)(AX*8)
+
+// One row of C from two accumulators: += the row, or = acc + zero.
+#define ACC_ROW(lo, hi, off, t0, t1) \
+	VMOVUPD (DI), t0 \
+	VMOVUPD off(DI), t1 \
+	VADDPD  t0, lo, lo \
+	VADDPD  t1, hi, hi \
+	VMOVUPD lo, (DI) \
+	VMOVUPD hi, off(DI) \
+	ADDQ    R8, DI
+
+#define STORE_ROW(lo, hi, off, zero) \
+	VADDPD  zero, lo, lo \
+	VADDPD  zero, hi, hi \
+	VMOVUPD lo, (DI) \
+	VMOVUPD hi, off(DI) \
+	ADDQ    R8, DI
+
+// func gemmKernel6x8(c, a, b *float64, kc, ldc, ars, acs, bps int64, store bool)
+TEXT ·gemmKernel6x8(SB), NOSPLIT, $0-65
+	LOAD_ARGS
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -31,89 +83,61 @@ TEXT ·gemmKernel6x8(SB), NOSPLIT, $0-40
 loop:
 	VMOVUPD (DX), Y12
 	VMOVUPD 32(DX), Y13
+	PREFETCH_AHEAD(56)
 
 	VBROADCASTSD (SI), Y14
-	VBROADCASTSD 8(SI), Y15
+	VBROADCASTSD (SI)(R10*1), Y15
 	VFMADD231PD Y12, Y14, Y0
 	VFMADD231PD Y13, Y14, Y1
 	VFMADD231PD Y12, Y15, Y2
 	VFMADD231PD Y13, Y15, Y3
 
-	VBROADCASTSD 16(SI), Y14
-	VBROADCASTSD 24(SI), Y15
+	VBROADCASTSD (SI)(R10*2), Y14
+	VBROADCASTSD (SI)(R11*1), Y15
 	VFMADD231PD Y12, Y14, Y4
 	VFMADD231PD Y13, Y14, Y5
 	VFMADD231PD Y12, Y15, Y6
 	VFMADD231PD Y13, Y15, Y7
 
-	VBROADCASTSD 32(SI), Y14
-	VBROADCASTSD 40(SI), Y15
+	VBROADCASTSD (SI)(R10*4), Y14
+	VBROADCASTSD (SI)(R12*1), Y15
 	VFMADD231PD Y12, Y14, Y8
 	VFMADD231PD Y13, Y14, Y9
 	VFMADD231PD Y12, Y15, Y10
 	VFMADD231PD Y13, Y15, Y11
 
-	ADDQ $48, SI
-	ADDQ $64, DX
+	ADDQ AX, SI
+	ADDQ BX, DX
 	DECQ CX
 	JNZ  loop
 
 done:
-	// C += acc, 6 rows x 2 vectors
-	MOVQ DI, R9
-	VMOVUPD (R9), Y12
-	VMOVUPD 32(R9), Y13
-	VADDPD  Y12, Y0, Y0
-	VADDPD  Y13, Y1, Y1
-	VMOVUPD Y0, (R9)
-	VMOVUPD Y1, 32(R9)
-	ADDQ    R8, R9
-	VMOVUPD (R9), Y12
-	VMOVUPD 32(R9), Y13
-	VADDPD  Y12, Y2, Y2
-	VADDPD  Y13, Y3, Y3
-	VMOVUPD Y2, (R9)
-	VMOVUPD Y3, 32(R9)
-	ADDQ    R8, R9
-	VMOVUPD (R9), Y12
-	VMOVUPD 32(R9), Y13
-	VADDPD  Y12, Y4, Y4
-	VADDPD  Y13, Y5, Y5
-	VMOVUPD Y4, (R9)
-	VMOVUPD Y5, 32(R9)
-	ADDQ    R8, R9
-	VMOVUPD (R9), Y12
-	VMOVUPD 32(R9), Y13
-	VADDPD  Y12, Y6, Y6
-	VADDPD  Y13, Y7, Y7
-	VMOVUPD Y6, (R9)
-	VMOVUPD Y7, 32(R9)
-	ADDQ    R8, R9
-	VMOVUPD (R9), Y12
-	VMOVUPD 32(R9), Y13
-	VADDPD  Y12, Y8, Y8
-	VADDPD  Y13, Y9, Y9
-	VMOVUPD Y8, (R9)
-	VMOVUPD Y9, 32(R9)
-	ADDQ    R8, R9
-	VMOVUPD (R9), Y12
-	VMOVUPD 32(R9), Y13
-	VADDPD  Y12, Y10, Y10
-	VADDPD  Y13, Y11, Y11
-	VMOVUPD Y10, (R9)
-	VMOVUPD Y11, 32(R9)
+	MOVBLZX store+64(FP), CX
+	TESTL   CX, CX
+	JNZ     store
+	ACC_ROW(Y0, Y1, 32, Y12, Y13)
+	ACC_ROW(Y2, Y3, 32, Y12, Y13)
+	ACC_ROW(Y4, Y5, 32, Y12, Y13)
+	ACC_ROW(Y6, Y7, 32, Y12, Y13)
+	ACC_ROW(Y8, Y9, 32, Y12, Y13)
+	ACC_ROW(Y10, Y11, 32, Y12, Y13)
 	VZEROUPPER
 	RET
 
-// func gemmKernel8x16(c, a, b *float64, kc, ldc int64)
-// C (8x16, row stride ldc doubles) += A-panel (kc x 8, packed) * B-panel (kc x 16, packed)
-TEXT ·gemmKernel8x16(SB), NOSPLIT, $0-40
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ kc+24(FP), CX
-	MOVQ ldc+32(FP), R8
-	SHLQ $3, R8
+store:
+	VXORPD Y12, Y12, Y12
+	STORE_ROW(Y0, Y1, 32, Y12)
+	STORE_ROW(Y2, Y3, 32, Y12)
+	STORE_ROW(Y4, Y5, 32, Y12)
+	STORE_ROW(Y6, Y7, 32, Y12)
+	STORE_ROW(Y8, Y9, 32, Y12)
+	STORE_ROW(Y10, Y11, 32, Y12)
+	VZEROUPPER
+	RET
+
+// func gemmKernel8x16(c, a, b *float64, kc, ldc, ars, acs, bps int64, store bool)
+TEXT ·gemmKernel8x16(SB), NOSPLIT, $0-65
+	LOAD_ARGS
 
 	VXORPD Z0, Z0, Z0
 	VXORPD Z1, Z1, Z1
@@ -138,80 +162,65 @@ TEXT ·gemmKernel8x16(SB), NOSPLIT, $0-40
 loop:
 	VMOVUPD (DX), Z16
 	VMOVUPD 64(DX), Z17
+	PREFETCH_AHEAD(120)
 
 	VBROADCASTSD (SI), Z18
-	VBROADCASTSD 8(SI), Z19
+	VBROADCASTSD (SI)(R10*1), Z19
 	VFMADD231PD Z16, Z18, Z0
 	VFMADD231PD Z17, Z18, Z1
 	VFMADD231PD Z16, Z19, Z2
 	VFMADD231PD Z17, Z19, Z3
 
-	VBROADCASTSD 16(SI), Z20
-	VBROADCASTSD 24(SI), Z21
+	VBROADCASTSD (SI)(R10*2), Z20
+	VBROADCASTSD (SI)(R11*1), Z21
 	VFMADD231PD Z16, Z20, Z4
 	VFMADD231PD Z17, Z20, Z5
 	VFMADD231PD Z16, Z21, Z6
 	VFMADD231PD Z17, Z21, Z7
 
-	VBROADCASTSD 32(SI), Z18
-	VBROADCASTSD 40(SI), Z19
+	VBROADCASTSD (SI)(R10*4), Z18
+	VBROADCASTSD (SI)(R12*1), Z19
 	VFMADD231PD Z16, Z18, Z8
 	VFMADD231PD Z17, Z18, Z9
 	VFMADD231PD Z16, Z19, Z10
 	VFMADD231PD Z17, Z19, Z11
 
-	VBROADCASTSD 48(SI), Z20
-	VBROADCASTSD 56(SI), Z21
+	VBROADCASTSD (SI)(R11*2), Z20
+	VBROADCASTSD (SI)(R13*1), Z21
 	VFMADD231PD Z16, Z20, Z12
 	VFMADD231PD Z17, Z20, Z13
 	VFMADD231PD Z16, Z21, Z14
 	VFMADD231PD Z17, Z21, Z15
 
-	ADDQ $64, SI
-	ADDQ $128, DX
+	ADDQ AX, SI
+	ADDQ BX, DX
 	DECQ CX
 	JNZ  loop
 
 done:
-	MOVQ DI, R9
-	VADDPD (R9), Z0, Z0
-	VMOVUPD Z0, (R9)
-	VADDPD 64(R9), Z1, Z1
-	VMOVUPD Z1, 64(R9)
-	ADDQ R8, R9
-	VADDPD (R9), Z2, Z2
-	VMOVUPD Z2, (R9)
-	VADDPD 64(R9), Z3, Z3
-	VMOVUPD Z3, 64(R9)
-	ADDQ R8, R9
-	VADDPD (R9), Z4, Z4
-	VMOVUPD Z4, (R9)
-	VADDPD 64(R9), Z5, Z5
-	VMOVUPD Z5, 64(R9)
-	ADDQ R8, R9
-	VADDPD (R9), Z6, Z6
-	VMOVUPD Z6, (R9)
-	VADDPD 64(R9), Z7, Z7
-	VMOVUPD Z7, 64(R9)
-	ADDQ R8, R9
-	VADDPD (R9), Z8, Z8
-	VMOVUPD Z8, (R9)
-	VADDPD 64(R9), Z9, Z9
-	VMOVUPD Z9, 64(R9)
-	ADDQ R8, R9
-	VADDPD (R9), Z10, Z10
-	VMOVUPD Z10, (R9)
-	VADDPD 64(R9), Z11, Z11
-	VMOVUPD Z11, 64(R9)
-	ADDQ R8, R9
-	VADDPD (R9), Z12, Z12
-	VMOVUPD Z12, (R9)
-	VADDPD 64(R9), Z13, Z13
-	VMOVUPD Z13, 64(R9)
-	ADDQ R8, R9
-	VADDPD (R9), Z14, Z14
-	VMOVUPD Z14, (R9)
-	VADDPD 64(R9), Z15, Z15
-	VMOVUPD Z15, 64(R9)
+	MOVBLZX store+64(FP), CX
+	TESTL   CX, CX
+	JNZ     store
+	ACC_ROW(Z0, Z1, 64, Z16, Z17)
+	ACC_ROW(Z2, Z3, 64, Z16, Z17)
+	ACC_ROW(Z4, Z5, 64, Z16, Z17)
+	ACC_ROW(Z6, Z7, 64, Z16, Z17)
+	ACC_ROW(Z8, Z9, 64, Z16, Z17)
+	ACC_ROW(Z10, Z11, 64, Z16, Z17)
+	ACC_ROW(Z12, Z13, 64, Z16, Z17)
+	ACC_ROW(Z14, Z15, 64, Z16, Z17)
+	VZEROUPPER
+	RET
+
+store:
+	VXORPD Z16, Z16, Z16
+	STORE_ROW(Z0, Z1, 64, Z16)
+	STORE_ROW(Z2, Z3, 64, Z16)
+	STORE_ROW(Z4, Z5, 64, Z16)
+	STORE_ROW(Z6, Z7, 64, Z16)
+	STORE_ROW(Z8, Z9, 64, Z16)
+	STORE_ROW(Z10, Z11, 64, Z16)
+	STORE_ROW(Z12, Z13, 64, Z16)
+	STORE_ROW(Z14, Z15, 64, Z16)
 	VZEROUPPER
 	RET

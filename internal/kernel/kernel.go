@@ -1,17 +1,18 @@
 // Package kernel is the deterministic compute-kernel layer underneath
-// internal/tensor and internal/nn: a blocked, register-tiled GEMM with a
-// single dst-first entry point (Gemm), fused LSTM gate sweeps, and a
-// slab arena for hot-path scratch. The tensor MatMul* family and the
-// nn training loop are thin wrappers over this package.
+// internal/tensor and internal/nn: a register-tiled GEMM with a single
+// dst-first entry point (Gemm) whose micro-kernels read the operands in
+// place through their strides, fused LSTM gate sweeps, and a slab arena
+// for hot-path scratch. The tensor MatMul* family and the nn training
+// loop are thin wrappers over this package.
 //
 // Determinism contract: for a fixed Config path (generic vs SIMD) the
 // result of every kernel is a pure function of its inputs — goroutine
-// parallelism partitions destination rows into disjoint blocks, so each
-// output element is accumulated in the same order no matter how many
-// workers run, and pooled scratch is always fully initialized before
-// use. That makes serial-vs-parallel and arena-vs-alloc runs
-// bit-identical, which the tests pin. SIMD and generic paths agree to
-// rounding (FMA and tiling reorder the sums), not bitwise.
+// parallelism partitions destination rows into disjoint blocks, every
+// output element is one accumulator summed over k in order whether its
+// operands were read in place or from packed copies, and pooled scratch
+// is always fully initialized before use. That makes serial-vs-parallel
+// runs bit-identical, which the tests pin. SIMD and generic paths agree
+// to rounding (FMA fuses the multiply-adds), not bitwise.
 package kernel
 
 import (
@@ -53,9 +54,8 @@ func (m Mat) ok() bool {
 
 // Config selects the execution policy for kernel calls. The zero value
 // is valid: auto-detected SIMD path, GOMAXPROCS workers, and a parallel
-// cutover of DefaultParallelThreshold FLOPs. Configs are plain values —
-// the old tensor.SetParallelThreshold package global is gone; callers
-// that want a different policy pass their own Config.
+// cutover of DefaultParallelThreshold FLOPs. Configs are plain values;
+// callers that want a different policy pass their own.
 type Config struct {
 	// Workers caps the goroutines a single kernel call may fan out to.
 	// 0 means runtime.GOMAXPROCS(0); 1 forces serial execution.
@@ -70,8 +70,12 @@ type Config struct {
 }
 
 // DefaultParallelThreshold is the serial/parallel FLOP cutover: below
-// this, goroutine fan-out costs more than it saves.
-const DefaultParallelThreshold = 1 << 16
+// this, goroutine fan-out costs more than it saves. Waking an idle core
+// costs the caller about 20 µs on the two-vCPU benchmark box, which the
+// SIMD kernels' 80+ GFLOP/s turn into a break-even near 19 MFLOP (two
+// workers lose by that 20 µs at 5 and 9 MFLOP, win 1.65× at 38): an
+// LSTM's per-timestep products stay serial, its bulk ones fan out.
+const DefaultParallelThreshold = 1 << 24
 
 func (c Config) workers() int {
 	if c.Workers > 0 {
@@ -139,7 +143,7 @@ func (c Config) parallelRows(n, flopsPerRow, align int, body func(lo, hi int)) {
 	}
 	chunk := (blocks + w - 1) / w
 	var wg sync.WaitGroup //podnas:allow hotalloc WaitGroup escapes into workers on the parallel path only
-	for lo := 0; lo < blocks; lo += chunk {
+	for lo := chunk; lo < blocks; lo += chunk {
 		hi := lo + chunk
 		if hi > blocks {
 			hi = blocks
@@ -154,5 +158,6 @@ func (c Config) parallelRows(n, flopsPerRow, align int, body func(lo, hi int)) {
 			body(rlo, rhi)
 		}(rlo, rhi)
 	}
+	body(0, min(chunk*align, n)) // the caller is the first worker
 	wg.Wait()
 }

@@ -5,7 +5,7 @@ import "fmt"
 // RefGemm is the pre-kernel-layer scalar GEMM, preserved verbatim in
 // accumulation order: the ikj loop with the bitwise-zero sparsity skip
 // for the plain and transA cases, and the dot-product form for transB.
-// It is the oracle the packed kernels are tested against and the compute
+// It is the oracle the tiled kernels are tested against and the compute
 // path of nn's test-only reference layers; no shipped code calls it.
 func RefGemm(dst, a, b Mat, transA, transB, accumulate bool) {
 	if !dst.ok() || !a.ok() || !b.ok() {
@@ -24,6 +24,9 @@ func RefGemm(dst, a, b Mat, transA, transB, accumulate bool) {
 	}
 	gemmCalls.Add(1)
 	gemmFLOPs.Add(2 * uint64(m) * uint64(n) * uint64(k))
+	if m == 0 || n == 0 {
+		return // an empty view need not be backed
+	}
 	if !accumulate {
 		for i := 0; i < m; i++ {
 			row := dst.Data[i*dst.Stride : i*dst.Stride+n]
@@ -31,6 +34,9 @@ func RefGemm(dst, a, b Mat, transA, transB, accumulate bool) {
 				row[j] = 0
 			}
 		}
+	}
+	if k == 0 {
+		return // nothing to sum, and an empty view need not be backed
 	}
 	switch {
 	case !transA && !transB:

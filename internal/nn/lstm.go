@@ -19,7 +19,7 @@ import (
 //	h_t = o ∘ tanh(c_t)
 //
 // Forward computes the concatenated [i|f|g|o] gate block with one bulk GEMM
-// for the input projection, one packed GEMM per timestep for the recurrence
+// for the input projection, one GEMM per timestep for the recurrence
 // writing straight into strided views of the gate buffer, and one fused
 // activation sweep per row (kernel.LSTMForwardStep). Backward
 // mirrors it with kernel.LSTMBackwardStep plus bulk weight-gradient GEMMs.
@@ -41,7 +41,6 @@ type LSTM struct {
 	hs    []float64 // (B,T,H) hidden states h_t
 	zeroH []float64 // read-only zeros standing in for c_{-1}
 
-	pbWh  *kernel.PackedB // Wh packed once per Forward, reused every step
 	pbWhT *kernel.PackedB // Whᵀ packed once per Backward for the dh carry
 }
 
@@ -100,14 +99,14 @@ func (l *LSTM) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 	}
 
 	// Recurrent part: z_t += h_{t-1}·Wh through strided timestep views of
-	// the shared buffers (no StepInto copies), with Wh packed once. The
+	// the shared buffers (no StepInto copies), Wh read where it lies. The
 	// t=0 recurrent GEMM is skipped outright since h_{-1} is zero.
-	l.pbWh = es.cfg.PackB(l.pbWh, kernel.MatOf(h, h4, l.Wh.W), false)
+	wh := kernel.MatOf(h, h4, l.Wh.W)
 	for step := 0; step < t; step++ {
 		if step > 0 {
 			zStep := kernel.Mat{R: b, C: h4, Stride: t * h4, Data: l.gates[step*h4:]}
 			hPrev := kernel.Mat{R: b, C: h, Stride: t * h, Data: l.hs[(step-1)*h:]}
-			es.cfg.GemmPacked(zStep, hPrev, false, l.pbWh, true)
+			es.cfg.Gemm(zStep, hPrev, wh, false, false, true)
 		}
 		if es.parallel() {
 			step := step
