@@ -33,11 +33,11 @@
 //
 // Degradation ladder: with -connect, evaluations go to remote agents; slots
 // whose agent stays dead fall back to local subprocess workers (-workerbin,
-// the nasrun binary) and then to in-process evaluation; if even the pooled
-// runner fails, a plain in-process rung retries the attempt; when every
-// rung is exhausted the job parks as "paused" with its checkpoint instead
-// of losing work. A watchdog goroutine enforces per-job deadlines and retry
-// budgets.
+// the nasrun binary) and then to in-process evaluation — all inside the
+// job's one worker pool, built and validated by the cli.Ladder nasrun
+// shares; when an attempt fails and the retry budget is spent the job parks
+// as "paused" with its checkpoint instead of losing work. A watchdog
+// goroutine enforces per-job deadlines and retry budgets.
 //
 // SIGTERM (or POST /drain) drains gracefully: admission closes, running
 // jobs are evicted and checkpoint, and the daemon exits 0; a later start
@@ -66,8 +66,6 @@ import (
 	"podnas/internal/jobs"
 	"podnas/internal/obs"
 	"podnas/internal/obs/slo"
-	"podnas/internal/obs/span"
-	"podnas/internal/worker"
 )
 
 func main() {
@@ -107,6 +105,16 @@ func run() error {
 	}
 	if *maxRunning < 1 || *maxQueued < 1 {
 		return fmt.Errorf("-maxrunning and -maxqueued must be at least 1: %w", podnas.ErrBadOptions)
+	}
+	// The worker flags, and the remote → subprocess → in-process ladder they
+	// describe, are shared with nasrun: cli.Ladder validates and builds both.
+	ladder := cli.Ladder{
+		Connect: *connect, WorkerBin: *workerBin, Grid: *grid,
+		Heartbeat: *heartbeat, MaxRestarts: *maxRestarts,
+		DialTimeout: *dialTimeout, ReadTimeout: *readTimeout,
+	}
+	if err := ladder.Validate(); err != nil {
+		return err
 	}
 
 	// One daemon per state directory: two instances over the same manifests
@@ -171,23 +179,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	runner := &searchRunner{
-		p:           p,
-		grid:        *grid,
-		connect:     cli.SplitAddrs(*connect),
-		workerBin:   *workerBin,
-		heartbeat:   *heartbeat,
-		maxRestarts: *maxRestarts,
-		dialTimeout: *dialTimeout,
-		readTimeout: *readTimeout,
-	}
-	rungs := []jobs.Runner{runner}
-	if len(runner.connect) > 0 || runner.workerBin != "" {
-		// The pooled rung already degrades remote → subprocess → in-process
-		// internally; a plain in-process rung behind it catches the case
-		// where pool construction itself fails.
-		rungs = append(rungs, &searchRunner{p: p, grid: *grid})
-	}
+	// One rung: the pool already degrades remote → subprocess → in-process
+	// internally, and an evaluation that cost CrashLimit workers must not be
+	// re-run inside the daemon the isolation protects.
+	rungs := []jobs.Runner{&searchRunner{p: p, ladder: ladder}}
 	mgr, err := jobs.New(jobs.Options{
 		Store:           store,
 		Rungs:           rungs,
@@ -298,25 +293,19 @@ func lockDir(dir string) (func(), error) {
 	}, nil
 }
 
-// searchRunner is the daemon's production rung: podnas.Search over the
-// shared pipeline, with the worker pool's own remote → subprocess →
-// in-process degradation when -connect or -workerbin configure one.
+// searchRunner is the daemon's one rung: podnas.Search over the shared
+// pipeline, on the ladder's worker pool when -connect or -workerbin
+// configure one.
 type searchRunner struct {
-	p           *podnas.Pipeline
-	grid        string
-	connect     []string
-	workerBin   string
-	heartbeat   time.Duration
-	maxRestarts int
-	dialTimeout time.Duration
-	readTimeout time.Duration
+	p      *podnas.Pipeline
+	ladder cli.Ladder
 }
 
 func (r *searchRunner) Name() string {
-	if len(r.connect) > 0 {
+	if r.ladder.Connect != "" {
 		return "search-distributed"
 	}
-	if r.workerBin != "" {
+	if r.ladder.WorkerBin != "" {
 		return "search-isolated"
 	}
 	return "search"
@@ -355,8 +344,14 @@ func (r *searchRunner) Run(ctx context.Context, spec jobs.Spec, run jobs.RunInfo
 		opts.WorkersPerAgent = workers
 		opts.Batches = max(1, spec.Evals/(opts.Agents*opts.WorkersPerAgent))
 	}
-	if len(r.connect) > 0 || r.workerBin != "" {
-		pool, err := r.newPool(workers, seed, epochs, run.Recorder, run.Trace)
+	if r.ladder.Pooled() {
+		fallback, err := r.p.NewEvaluator(epochs)
+		if err != nil {
+			return nil, err
+		}
+		// run.Trace is the job's root span context: pool dispatch/rpc/
+		// handshake spans join the same trace as the search subtree.
+		pool, err := r.ladder.NewPool(workers, epochs, seed, fallback, run.Recorder, run.Trace)
 		if err != nil {
 			return nil, err
 		}
@@ -382,36 +377,4 @@ func (r *searchRunner) Run(ctx context.Context, spec jobs.Spec, run jobs.RunInfo
 		BestReward: res.Best.Reward,
 		Evals:      len(res.Results),
 	}, nil
-}
-
-// newPool assembles the degradation-ladder worker pool: remote agents when
-// -connect is set, local subprocess workers (when -workerbin names the
-// nasrun binary) as transport fallback, in-process evaluation as the floor.
-func (r *searchRunner) newPool(workers int, seed uint64, epochs int, rec obs.Recorder, trace span.Context) (*worker.Pool, error) {
-	fallback, err := r.p.NewEvaluator(epochs)
-	if err != nil {
-		return nil, err
-	}
-	popts := worker.PoolOptions{
-		Workers:   workers,
-		Heartbeat: r.heartbeat, MaxRestarts: r.maxRestarts, Seed: seed,
-		Fallback: fallback, Recorder: rec,
-		// The job's root span context: pool dispatch/rpc/handshake spans join
-		// the same trace as the manager's admission and queue_wait spans.
-		Trace: trace,
-	}
-	switch {
-	case len(r.connect) > 0:
-		popts.Transport = &worker.DialTransport{
-			Addrs: r.connect, DialTimeout: r.dialTimeout, ReadTimeout: r.readTimeout, Seed: seed,
-		}
-		if r.workerBin != "" {
-			popts.LocalFallback = &worker.PipeTransport{
-				Command: cli.WorkerCommand(r.workerBin, r.grid, epochs, r.heartbeat, 0, 0),
-			}
-		}
-	default:
-		popts.Command = cli.WorkerCommand(r.workerBin, r.grid, epochs, r.heartbeat, 0, 0)
-	}
-	return worker.NewPool(popts)
 }

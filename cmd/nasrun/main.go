@@ -144,9 +144,6 @@ func main() {
 	if *grid != "small" && *grid != "default" {
 		fatalUsage("-grid must be \"small\" or \"default\", got %q", *grid)
 	}
-	if *heartbeat <= 0 {
-		fatalUsage("-heartbeat must be positive, got %v", *heartbeat)
-	}
 	if *resume != "" {
 		if _, err := os.Stat(*resume); err != nil {
 			fatalUsage("-resume: %v", err)
@@ -182,8 +179,17 @@ func main() {
 			fatalUsage("-faultkill needs -isolate; to inject faults on remote workers, pass -faultkill to the agent's own command line")
 		}
 	}
-	if *readTimeout > 0 && *readTimeout <= 3**heartbeat {
-		fatalUsage("-readtimeout %v would cut healthy idle connections: it must exceed 3x the heartbeat interval (%v)", *readTimeout, *heartbeat)
+	// The worker flags, and the remote → subprocess → in-process ladder they
+	// describe, are shared with nasd: cli.Ladder validates and builds both.
+	ladder := cli.Ladder{
+		Connect: *connect, Grid: *grid,
+		Heartbeat: *heartbeat, MaxRestarts: *maxRestarts,
+		DialTimeout: *dialTimeout, ReadTimeout: *readTimeout,
+		Speculate: *speculate, KillNth: *killNth,
+		FaultKill: *faultKill, FaultSeed: *faultSeed,
+	}
+	if err := ladder.Validate(); err != nil {
+		fatal(err)
 	}
 
 	cfg := podnas.SmallPipelineConfig()
@@ -192,13 +198,14 @@ func main() {
 	}
 
 	if *workerMode {
+		ev := workerEvaluator(cfg, *epochs, *faultKill, *faultSeed)
 		if *listen != "" {
-			runAgentMode(cfg, *epochs, *heartbeat, *faultKill, *faultSeed, *listen)
+			runAgentMode(ev, *epochs, *heartbeat, *listen)
 			return
 		}
 		// Worker processes own stdout as the protocol channel; everything
 		// human-readable goes to stderr (the supervisor passes it through).
-		runWorkerMode(cfg, *epochs, *heartbeat, *faultKill, *faultSeed)
+		runWorkerMode(ev, *heartbeat)
 		return
 	}
 
@@ -306,7 +313,9 @@ func main() {
 	}
 	var pool *worker.Pool
 	if *isolate || *connect != "" {
-		exe, err := os.Executable()
+		// Local subprocess workers are nasrun itself in -worker mode: the
+		// primary rung with -isolate, the fallback rung under -connect.
+		ladder.WorkerBin, err = os.Executable()
 		if err != nil {
 			log.Fatalf("-isolate: cannot locate own binary: %v", err)
 		}
@@ -317,39 +326,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		killBase := *faultSeed
-		if killBase == 0 {
-			killBase = *seed + 0x9e3779b9
-		}
-		popts := worker.PoolOptions{
-			Workers:   *workers,
-			Heartbeat: *heartbeat, MaxRestarts: *maxRestarts, Seed: *seed,
-			SpeculativeAfter: *speculate, KillNth: *killNth,
-			Fallback: fallback, Recorder: rec, Trace: rootSpan,
-		}
 		if *connect != "" {
 			addrs := cli.SplitAddrs(*connect)
-			if len(addrs) == 0 {
-				fatalUsage("-connect: no agent addresses in %q", *connect)
-			}
-			popts.Transport = &worker.DialTransport{
-				Addrs: addrs, DialTimeout: *dialTimeout, ReadTimeout: *readTimeout, Seed: *seed,
-			}
-			// Two degradation rungs: slots whose agent stays unreachable past
-			// the restart budget first fall back to local subprocess workers;
-			// only if those cannot spawn either does the pool serve
-			// evaluations in-process via Fallback.
-			popts.LocalFallback = &worker.PipeTransport{
-				Command: cli.WorkerCommand(exe, *grid, *epochs, *heartbeat, 0, 0),
-			}
 			fmt.Printf("distributed evaluation: %d slots over %d agent(s) %v, heartbeat %v, restart budget %d\n",
 				*workers, len(addrs), addrs, *heartbeat, *maxRestarts)
 		} else {
-			popts.Command = cli.WorkerCommand(exe, *grid, *epochs, *heartbeat, *faultKill, killBase)
 			fmt.Printf("isolated evaluation: %d worker processes, heartbeat %v, restart budget %d\n",
 				*workers, *heartbeat, *maxRestarts)
 		}
-		pool, err = worker.NewPool(popts)
+		pool, err = ladder.NewPool(*workers, *epochs, *seed, fallback, rec, rootSpan)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -450,12 +435,12 @@ func main() {
 	}
 }
 
-// runAgentMode is the serving half of -connect: build the same pipeline and
-// evaluator as a pipe worker, then accept driver connections on addr and
-// serve each under its handshaken lease until SIGINT/SIGTERM. A driver
-// disconnect ends one connection, never the agent, which is what lets a
-// partitioned driver reconnect and resume.
-func runAgentMode(cfg podnas.PipelineConfig, epochs int, heartbeat time.Duration, killRate float64, killSeed uint64, addr string) {
+// workerEvaluator builds what both worker modes serve: the same pipeline and
+// evaluator as the driver, wrapped — when killRate is set — in self-kill
+// fault injection, so the process SIGKILLs itself mid-evaluation at that
+// rate and the supervisor's crash-restart (or reconnect) path is exercised
+// by a real process death.
+func workerEvaluator(cfg podnas.PipelineConfig, epochs int, killRate float64, killSeed uint64) search.Evaluator {
 	p, err := podnas.NewPipeline(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -465,11 +450,16 @@ func runAgentMode(cfg podnas.PipelineConfig, epochs int, heartbeat time.Duration
 		log.Fatal(err)
 	}
 	if killRate > 0 {
-		// Self-kill fault injection, as in pipe-worker mode: the agent
-		// process SIGKILLs itself mid-evaluation at the configured rate, so
-		// drivers exercise real connection loss with a real process death.
-		ev = &search.FaultInjector{Inner: ev, Seed: killSeed, KillRate: killRate}
+		return &search.FaultInjector{Inner: ev, Seed: killSeed, KillRate: killRate}
 	}
+	return ev
+}
+
+// runAgentMode is the serving half of -connect: accept driver connections on
+// addr and serve each under its handshaken lease until SIGINT/SIGTERM. A
+// driver disconnect ends one connection, never the agent, which is what lets
+// a partitioned driver reconnect and resume.
+func runAgentMode(ev search.Evaluator, epochs int, heartbeat time.Duration, addr string) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fatalUsage("-listen: %v", err)
@@ -482,26 +472,11 @@ func runAgentMode(cfg podnas.PipelineConfig, epochs int, heartbeat time.Duration
 	}
 }
 
-// runWorkerMode is the worker half of -isolate: build the same pipeline and
-// evaluator as the supervisor, then serve evaluations over stdin/stdout
-// until a shutdown frame arrives or the supervisor dies (stdin EOF). Stdout
-// carries protocol frames only; the log package already writes to stderr,
-// which the supervisor passes through.
-func runWorkerMode(cfg podnas.PipelineConfig, epochs int, heartbeat time.Duration, killRate float64, killSeed uint64) {
-	p, err := podnas.NewPipeline(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ev, err := p.NewEvaluator(epochs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if killRate > 0 {
-		// Self-kill fault injection: this process SIGKILLs itself
-		// mid-evaluation at the configured rate, exercising the supervisor's
-		// crash-restart path with a real process death.
-		ev = &search.FaultInjector{Inner: ev, Seed: killSeed, KillRate: killRate}
-	}
+// runWorkerMode is the worker half of -isolate: serve evaluations over
+// stdin/stdout until a shutdown frame arrives or the supervisor dies (stdin
+// EOF). Stdout carries protocol frames only; the log package already writes
+// to stderr, which the supervisor passes through.
+func runWorkerMode(ev search.Evaluator, heartbeat time.Duration) {
 	if err := worker.Serve(os.Stdin, os.Stdout, ev, worker.ServeOptions{Heartbeat: heartbeat}); err != nil {
 		log.Fatal(err)
 	}

@@ -1,17 +1,23 @@
 // Package cli holds the flag plumbing and error→exit-code policy shared by
 // the podnas command-line binaries (nasrun, nasd), so the two front ends
-// cannot drift apart on what an exit status means or how a worker
-// subprocess is spawned.
+// cannot drift apart on what an exit status means, how a worker subprocess
+// is spawned, which worker flags are valid, or how the degradation ladder
+// is assembled.
 package cli
 
 import (
 	"errors"
+	"fmt"
 	"os/exec"
 	"strconv"
 	"strings"
 	"time"
 
 	"podnas"
+	"podnas/internal/obs"
+	"podnas/internal/obs/span"
+	"podnas/internal/search"
+	"podnas/internal/worker"
 )
 
 // Exit codes, common to every podnas binary. Schedulers and shell scripts
@@ -55,9 +61,9 @@ func SplitAddrs(s string) []string {
 }
 
 // WorkerCommand builds the exec.Cmd factory for pipe-spawned local workers:
-// the nasrun binary at exe re-executed in -worker mode. Both nasrun
-// -isolate and nasd's subprocess rung spawn workers through it, so the
-// worker command line has one definition.
+// the nasrun binary at exe re-executed in -worker mode. Ladder spawns every
+// subprocess worker through it, so the worker command line has one
+// definition.
 func WorkerCommand(exe, grid string, epochs int, heartbeat time.Duration, faultKill float64, killBase uint64) func(int, int) *exec.Cmd {
 	return func(id, incarnation int) *exec.Cmd {
 		args := []string{
@@ -75,4 +81,86 @@ func WorkerCommand(exe, grid string, epochs int, heartbeat time.Duration, faultK
 		}
 		return exec.Command(exe, args...)
 	}
+}
+
+// Ladder is the worker-flag set nasrun and nasd share, and the one builder
+// of the degradation ladder those flags describe: remote agents (Connect),
+// then local subprocess workers (WorkerBin), then in-process evaluation.
+// With neither Connect nor WorkerBin there is no pool at all and the caller
+// evaluates in-process directly.
+type Ladder struct {
+	// Connect is the -connect list: comma-separated agent addresses.
+	Connect string
+	// WorkerBin is the nasrun binary re-executed in -worker mode for the
+	// subprocess rung: nasrun's own executable, nasd's -workerbin.
+	WorkerBin string
+	// Grid is passed to spawned workers so they build the same pipeline.
+	Grid string
+	// Heartbeat, MaxRestarts, DialTimeout, ReadTimeout are the flags of the
+	// same names.
+	Heartbeat   time.Duration
+	MaxRestarts int
+	DialTimeout time.Duration
+	ReadTimeout time.Duration
+	// Speculate, KillNth, FaultKill, FaultSeed are nasrun's -speculate and
+	// fault-injection flags; nasd leaves them zero.
+	Speculate time.Duration
+	KillNth   int
+	FaultKill float64
+	FaultSeed uint64
+}
+
+// Pooled reports whether the flags ask for a worker pool at all.
+func (l Ladder) Pooled() bool { return l.Connect != "" || l.WorkerBin != "" }
+
+// Validate rejects worker flags that cannot work, before any pipeline or
+// pool exists. Every error wraps podnas.ErrBadOptions (exit code 2).
+func (l Ladder) Validate() error {
+	switch {
+	case l.Heartbeat <= 0:
+		// Spawned workers get -heartbeat on their own command line and would
+		// refuse it there.
+		return fmt.Errorf("-heartbeat must be positive, got %v: %w", l.Heartbeat, podnas.ErrBadOptions)
+	case l.ReadTimeout > 0 && l.ReadTimeout <= 3*l.Heartbeat:
+		return fmt.Errorf("-readtimeout %v would cut healthy idle connections: it must exceed 3x the heartbeat interval (%v): %w",
+			l.ReadTimeout, l.Heartbeat, podnas.ErrBadOptions)
+	case l.Connect != "" && len(SplitAddrs(l.Connect)) == 0:
+		return fmt.Errorf("-connect: no agent addresses in %q: %w", l.Connect, podnas.ErrBadOptions)
+	}
+	return nil
+}
+
+// NewPool builds the pool for one search: workers slots, spawned workers
+// training for epochs, leases and backoff jitter seeded by seed. Slots
+// whose agent stays unreachable past the restart budget fall back to local
+// subprocess workers (when WorkerBin is set); when those cannot spawn
+// either, or every slot has retired, the pool serves evaluations
+// in-process through fallback. The caller has run Validate and closes the
+// pool.
+func (l Ladder) NewPool(workers, epochs int, seed uint64, fallback search.Evaluator, rec obs.Recorder, trace span.Context) (*worker.Pool, error) {
+	killBase := l.FaultSeed
+	if killBase == 0 {
+		killBase = seed + 0x9e3779b9
+	}
+	opts := worker.PoolOptions{
+		Workers:   workers,
+		Heartbeat: l.Heartbeat, MaxRestarts: l.MaxRestarts, Seed: seed,
+		SpeculativeAfter: l.Speculate, KillNth: l.KillNth,
+		Fallback: fallback, Recorder: rec, Trace: trace,
+	}
+	var local worker.Transport
+	if l.WorkerBin != "" {
+		local = &worker.PipeTransport{
+			Command: WorkerCommand(l.WorkerBin, l.Grid, epochs, l.Heartbeat, l.FaultKill, killBase),
+		}
+	}
+	if l.Connect == "" {
+		opts.Transport = local
+	} else {
+		opts.Transport = &worker.DialTransport{
+			Addrs: SplitAddrs(l.Connect), DialTimeout: l.DialTimeout, ReadTimeout: l.ReadTimeout, Seed: seed,
+		}
+		opts.LocalFallback = local
+	}
+	return worker.NewPool(opts)
 }

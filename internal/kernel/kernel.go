@@ -105,16 +105,6 @@ func ReadStats() Stats {
 	return Stats{GemmCalls: gemmCalls.Load(), GemmFLOPs: gemmFLOPs.Load()}
 }
 
-// ParallelRows deterministically partitions [0, n) across the config's
-// workers and runs body over each disjoint block (serial when below the
-// FLOP threshold, so results are bit-identical either way). Layers use
-// it for batch-row activation sweeps outside the GEMMs.
-//
-//podnas:hotpath
-func (c Config) ParallelRows(n, flopsPerRow int, body func(lo, hi int)) {
-	c.parallelRows(n, flopsPerRow, 1, body)
-}
-
 // parallelRows runs body(lo, hi) over a partition of [0, n) rows.
 // Blocks are disjoint and each row is processed exactly as in the
 // serial case, so results are bit-identical for any worker count. The

@@ -278,6 +278,30 @@ func MeanStd(xs []float64) (mean, std float64) {
 	return mean, math.Sqrt(s / float64(n))
 }
 
+// Quantile returns the q-quantile of sorted (ascending) by linear
+// interpolation between order statistics — the R-7 rule most tooling uses.
+// q is clamped into [0, 1]; an empty slice gives 0. It is the one quantile
+// definition in the repo: the live latency histograms (internal/obs) and
+// the post-hoc ones (internal/obs/replay) both call it, so a replayed p99
+// equals the live one bit for bit.
+func Quantile(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return sorted[0]
+	}
+	pos := q * float64(n-1)
+	lo := int(math.Floor(pos))
+	if q >= 1 || lo+1 >= n {
+		return sorted[n-1]
+	}
+	// This form, not a·(1−f) + b·f: between equal neighbours it returns
+	// them exactly.
+	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
+}
+
 // Curve is a sampled (x, y) trajectory, e.g. reward vs wall-clock minutes.
 type Curve struct {
 	X []float64

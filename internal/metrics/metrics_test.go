@@ -269,3 +269,21 @@ func TestCurveValueAtMonotoneBetweenKnots(t *testing.T) {
 		t.Errorf("interp(1.5) = %g", v)
 	}
 }
+
+func TestQuantile(t *testing.T) {
+	s := []float64{1, 2, 4, 8}
+	for _, c := range []struct{ q, want float64 }{
+		{-1, 1}, {0, 1}, {0.5, 3}, {1.0 / 3, 2}, {0.9, 6.8}, {1, 8}, {2, 8},
+	} {
+		if got := Quantile(s, c.q); !ApproxEqual(got, c.want, 1e-12) {
+			t.Errorf("Quantile(%v, %v) = %v, want %v", s, c.q, got, c.want)
+		}
+	}
+	if got := Quantile(nil, 0.5); got != 0 {
+		t.Errorf("empty quantile = %v, want 0", got)
+	}
+	// Between equal neighbours the sample itself comes back, exactly.
+	if got := Quantile([]float64{0.1, 0.1, 0.1}, 0.37); got != 0.1 {
+		t.Errorf("constant-sample quantile = %v, want exactly 0.1", got)
+	}
+}

@@ -22,13 +22,6 @@ func newEngineState() *engineState {
 	return &engineState{fwd: kernel.NewArena(), bwd: kernel.NewArena()}
 }
 
-// parallel reports whether batch-row sweeps should fan out; the serial
-// call sites keep their loops inline so the default single-worker path
-// allocates no closures.
-func (es *engineState) parallel() bool {
-	return es.cfg.Workers > 1
-}
-
 // engined is embedded by layers to share one engineState per network;
 // a standalone layer (constructed outside NewGraph) lazily creates its
 // own.

@@ -158,7 +158,7 @@ func TestArenaAllocBitIdentity(t *testing.T) {
 // TestParallelBPTTDeterminism pins the deterministic-reduction contract
 // end to end: training with one kernel worker and with aggressive
 // goroutine fan-out (8 workers, parallel threshold 1, so even tiny GEMMs
-// and gate sweeps split) must produce bit-identical checkpoints.
+// split) must produce bit-identical checkpoints.
 func TestParallelBPTTDeterminism(t *testing.T) {
 	serial := trainParityGraph(t, 5, func(g *Graph) {
 		g.SetKernelConfig(kernel.Config{Workers: 1})

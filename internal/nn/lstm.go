@@ -108,24 +108,19 @@ func (l *LSTM) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 			hPrev := kernel.Mat{R: b, C: h, Stride: t * h, Data: l.hs[(step-1)*h:]}
 			es.cfg.Gemm(zStep, hPrev, wh, false, false, true)
 		}
-		if es.parallel() {
-			step := step
-			es.cfg.ParallelRows(b, 40*h4, func(lo, hi int) { l.forwardSweep(lo, hi, step) }) //podnas:allow hotalloc ParallelRows sweep closure; serial path avoids it
-		} else {
-			l.forwardSweep(0, b, step)
-		}
+		l.forwardSweep(b, step)
 	}
 	return tensor.Tensor3FromSlice(b, t, h, l.hs)
 }
 
-// forwardSweep applies the fused activation update for batch rows [lo, hi)
-// of one timestep. Rows are disjoint, so any partition is bit-identical.
+// forwardSweep applies the fused activation update to the b batch rows of
+// one timestep.
 //
 //podnas:hotpath
-func (l *LSTM) forwardSweep(lo, hi, step int) {
+func (l *LSTM) forwardSweep(b, step int) {
 	h, t := l.hidden, l.t
 	h4 := 4 * h
-	for bi := lo; bi < hi; bi++ {
+	for bi := 0; bi < b; bi++ {
 		base := bi*t + step
 		cp := l.zeroH[:h]
 		if step > 0 {
@@ -161,12 +156,7 @@ func (l *LSTM) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 	for step := t - 1; step >= 0; step-- {
 		// Fused per-row sweep: reads the dhn carry from step+1, fills
 		// dz_t, and updates the dc carry in place.
-		if es.parallel() {
-			step := step
-			es.cfg.ParallelRows(b, 60*h4, func(lo, hi int) { l.backwardSweep(dOut, dz, dc, dhn, lo, hi, step) }) //podnas:allow hotalloc ParallelRows sweep closure; serial path avoids it
-		} else {
-			l.backwardSweep(dOut, dz, dc, dhn, 0, b, step)
-		}
+		l.backwardSweep(dOut, dz, dc, dhn, b, step)
 		if step > 0 {
 			dzStep := kernel.Mat{R: b, C: h4, Stride: t * h4, Data: dz[step*h4:]}
 			hPrev := kernel.Mat{R: b, C: h, Stride: t * h, Data: l.hs[(step-1)*h:]}
@@ -195,14 +185,14 @@ func (l *LSTM) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 	return tensor.Tensor3FromSlice(b, t, l.in, dx)
 }
 
-// backwardSweep runs the fused BPTT gate sweep for batch rows [lo, hi) of
-// one timestep.
+// backwardSweep runs the fused BPTT gate sweep over the b batch rows of one
+// timestep.
 //
 //podnas:hotpath
-func (l *LSTM) backwardSweep(dOut *tensor.Tensor3, dz, dc, dhn []float64, lo, hi, step int) {
+func (l *LSTM) backwardSweep(dOut *tensor.Tensor3, dz, dc, dhn []float64, b, step int) {
 	h, t := l.hidden, l.t
 	h4 := 4 * h
-	for bi := lo; bi < hi; bi++ {
+	for bi := 0; bi < b; bi++ {
 		base := bi*t + step
 		var cPrev []float64
 		if step > 0 {

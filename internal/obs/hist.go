@@ -3,6 +3,8 @@ package obs
 import (
 	"math"
 	"sort"
+
+	"podnas/internal/metrics"
 )
 
 // latencyBuckets are the fixed upper bounds (seconds) shared by every
@@ -53,27 +55,13 @@ func (h *hist) add(v float64) {
 	}
 }
 
-// quantile returns the q-th quantile (R-7, the same linear interpolation
-// replay's Histogram uses) over the retained sample window; 0 when empty.
+// quantile returns the q-th quantile (metrics.Quantile, the definition
+// replay's Histogram shares) over the retained sample window; 0 when empty.
 func (h *hist) quantile(q float64) float64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	s := make([]float64, n)
+	s := make([]float64, len(h.samples))
 	copy(s, h.samples)
 	sort.Float64s(s)
-	if n == 1 {
-		return s[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if hi >= n {
-		hi = n - 1
-	}
-	frac := pos - float64(lo)
-	return s[lo] + frac*(s[hi]-s[lo])
+	return metrics.Quantile(s, q)
 }
 
 // family renders the histogram as an OpenMetrics histogram family with

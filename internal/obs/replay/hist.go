@@ -3,6 +3,8 @@ package replay
 import (
 	"math"
 	"sort"
+
+	"podnas/internal/metrics"
 )
 
 // Histogram collects one latency population (seconds) and answers the
@@ -65,28 +67,12 @@ func (h *Histogram) ensureSorted() {
 	}
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) with linear interpolation
-// between order statistics (the R-7 rule most tooling uses). Empty
-// histograms return 0; q is clamped into [0, 1].
+// Quantile returns the q-quantile (0 ≤ q ≤ 1) by metrics.Quantile, the
+// R-7 rule the live histograms share. Empty histograms return 0; q is
+// clamped into [0, 1].
 func (h *Histogram) Quantile(q float64) float64 {
 	h.ensureSorted()
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.samples[0]
-	}
-	if q >= 1 {
-		return h.samples[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return h.samples[n-1]
-	}
-	return h.samples[lo]*(1-frac) + h.samples[lo+1]*frac
+	return metrics.Quantile(h.samples, q)
 }
 
 // P50, P90, and P99 are the report quantiles.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,17 +27,11 @@ var errHeartbeat = errors.New("worker: missed heartbeats")
 type PoolOptions struct {
 	// Workers is the number of worker slots kept attached (>= 1).
 	Workers int
-	// Command builds the exec.Cmd for one worker process. workerID is the
-	// stable pool slot; incarnation counts respawns of that slot, so fault
-	// seeds can differ across restarts (a deterministic self-kill decision
-	// must not recur forever in the replacement process). A nil Stderr is
-	// replaced with os.Stderr so worker logs pass through. Ignored when
-	// Transport is set.
-	Command func(workerID, incarnation int) *exec.Cmd
-	// Transport attaches slots to workers. Nil means a PipeTransport built
-	// from Command — the classic subprocess pool. A DialTransport attaches
-	// slots to remote agents over TCP; the supervision loop (heartbeats,
-	// restart budgets, speculation, CrashLimit) is identical either way.
+	// Transport attaches slots to workers (required): a PipeTransport spawns
+	// local subprocesses — the classic isolated pool — and a DialTransport
+	// attaches slots to remote agents over TCP; the supervision loop
+	// (heartbeats, restart budgets, speculation, CrashLimit) is identical
+	// either way.
 	Transport Transport
 	// LocalFallback, when non-nil, is the transport a slot degrades to after
 	// its primary Transport stays unreachable past the restart budget —
@@ -227,9 +220,8 @@ func (j *job) deliver(r jobResult) bool {
 // it exactly like the in-process TrainingEvaluator. Safe for concurrent
 // use.
 type Pool struct {
-	opts      PoolOptions
-	transport Transport
-	queue     chan *job
+	opts  PoolOptions
+	queue chan *job
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -254,20 +246,15 @@ func NewPool(opts PoolOptions) (*Pool, error) {
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("worker: pool needs at least one worker, got %d", opts.Workers)
 	}
-	tr := opts.Transport
-	if tr == nil {
-		if opts.Command == nil {
-			return nil, errors.New("worker: pool needs a Command or a Transport")
-		}
-		tr = &PipeTransport{Command: opts.Command}
+	if opts.Transport == nil {
+		return nil, errors.New("worker: pool needs a Transport")
 	}
 	p := &Pool{
-		opts:      opts,
-		transport: tr,
-		queue:     make(chan *job, 16*opts.Workers+64),
-		closed:    make(chan struct{}),
-		failed:    make(chan struct{}),
-		idents:    make(map[int]SlotIdentity),
+		opts:   opts,
+		queue:  make(chan *job, 16*opts.Workers+64),
+		closed: make(chan struct{}),
+		failed: make(chan struct{}),
+		idents: make(map[int]SlotIdentity),
 	}
 	p.live.Store(int64(opts.Workers))
 	p.wg.Add(opts.Workers)
@@ -380,12 +367,15 @@ func (p *Pool) EvaluateCtx(ctx context.Context, a arch.Arch, seed uint64) (float
 			// queue means every worker is saturated and a duplicate could
 			// not run anyway.
 			spec = nil
+			// Stored before the send: a slot may dequeue the copy and bump
+			// dispatches before this goroutine runs again.
+			j.specAt.Store(j.dispatches.Load())
 			select {
 			case p.queue <- j:
-				j.specAt.Store(j.dispatches.Load())
 				p.bump(func(s *PoolStats) { s.SpeculativeRuns++ })
 				p.record(obs.Event{Kind: obs.KindSpecLaunch, Eval: int(j.id)})
 			default:
+				j.specAt.Store(0)
 			}
 		}
 	}
@@ -427,7 +417,7 @@ func (p *Pool) record(e obs.Event) {
 func (p *Pool) supervise(workerID int) {
 	defer p.wg.Done()
 	defer p.retire()
-	tr := p.transport
+	tr := p.opts.Transport
 	restarts := 0
 	for incarnation := 0; ; incarnation++ {
 		select {
@@ -437,7 +427,7 @@ func (p *Pool) supervise(workerID int) {
 		}
 		w, started, err := p.connect(tr, workerID, incarnation)
 		if err == nil {
-			id := w.Identity()
+			id := w.id
 			p.everReady.Store(true)
 			p.setIdent(workerID, id)
 			p.record(obs.Event{Kind: obs.KindWorkerSpawn, Worker: workerID, Attempt: incarnation})
@@ -445,10 +435,12 @@ func (p *Pool) supervise(workerID int) {
 				p.bump(func(s *PoolStats) { s.Connects++ })
 				p.record(obs.Event{Kind: obs.KindWorkerConnect, Worker: workerID, Attempt: id.Epoch, Ident: id.String()})
 			}
-			err = p.runWorker(workerID, w)
+			err = p.serve(workerID, w)
 			p.clearIdent(workerID)
 			w.EnsureDead()
-			p.collectFenced(w)
+			if n := w.fenced.Load(); n > 0 {
+				p.bump(func(s *PoolStats) { s.StaleLeaseFrames += int(n) })
+			}
 			if errors.Is(err, errPoolClosed) {
 				return
 			}
@@ -519,18 +511,6 @@ func (p *Pool) demote(cur Transport, workerID int, cause error) Transport {
 	return lf
 }
 
-// collectFenced folds a dead connection's fenced-frame count into the pool
-// stats (remote attachments only).
-func (p *Pool) collectFenced(w Conn) {
-	f, ok := w.(interface{ StaleFrames() int64 })
-	if !ok {
-		return
-	}
-	if n := f.StaleFrames(); n > 0 {
-		p.bump(func(s *PoolStats) { s.StaleLeaseFrames += int(n) })
-	}
-}
-
 // backoffDelay is the reattach delay: exponential in the consecutive
 // restart count with deterministic seeded jitter in [0.5, 1.5), capped.
 func (p *Pool) backoffDelay(workerID, attempt int) time.Duration {
@@ -583,80 +563,132 @@ func (p *Pool) clearIdent(workerID int) {
 	p.mu.Unlock()
 }
 
-// runWorker serves jobs on one live worker attachment until the pool closes
-// or the attachment fails (crash, broken pipe, dropped link, missed
-// heartbeats).
-func (p *Pool) runWorker(workerID int, w Conn) error {
+// inflight is the evaluation a busy attachment is running; the zero value
+// (nil j) is the idle state.
+type inflight struct {
+	j       *job
+	attempt int64
+	// rpc is the span context stamped on the eval frame; zero when the job
+	// carries no eval span or the peer does not speak the trace capability.
+	rpc    span.Context
+	sentAt time.Time
+}
+
+// serve drives one ready attachment until the pool closes or the attachment
+// fails (crash, broken pipe, dropped link, missed heartbeats). The loop has
+// two states: idle, where it takes the next job off the queue, and busy,
+// where the queue arm is off (a nil channel) until the job's result frame
+// arrives — even if the job itself failed or was cancelled, the worker is
+// then healthy and idle again. An error return means the attachment is lost;
+// an evaluation it was running has been handed to requeue.
+func (p *Pool) serve(workerID int, w *attachment) error {
 	hbTimeout := p.opts.heartbeatTimeout()
 	check := time.NewTicker(checkInterval(hbTimeout))
 	defer check.Stop()
+	var (
+		cur       inflight
+		queue     = p.queue
+		cancelled <-chan struct{} // cur.j.ctx.Done() until the cancel frame is sent
+	)
+	lost := func(err error) error {
+		j := cur.j
+		if j == nil {
+			return err
+		}
+		if w.id.Remote && !errors.Is(err, errPoolClosed) && !j.finished() {
+			// The lease died with the evaluation still claimed under it: the
+			// job is re-dispatched under whatever lease comes next, and any
+			// result the old worker still grinds out is fenced off by its
+			// stale lease ID.
+			p.bump(func(s *PoolStats) { s.LeaseExpires++ })
+			p.record(obs.Event{Kind: obs.KindLeaseExpire, Worker: workerID, Eval: int(j.id), Ident: w.id.String()})
+		}
+		p.requeue(j)
+		return err
+	}
 	for {
 		select {
 		case <-p.closed:
-			w.Shutdown()
-			return errPoolClosed
-		case m, ok := <-w.Msgs():
-			if !ok {
+			if cur.j == nil {
+				w.Shutdown()
+			} else {
+				w.Kill()
+			}
+			return lost(errPoolClosed)
+		case m, ok := <-w.msgs:
+			switch {
+			case !ok && cur.j == nil:
 				return fmt.Errorf("worker: worker lost while idle: %w", w.WaitResult())
+			case !ok:
+				return lost(fmt.Errorf("worker: worker died mid-evaluation: %w", w.WaitResult()))
+			case m.Type == MsgSpan:
+				// While idle this is a span straggling in after its evaluation
+				// was delivered or cancelled: it carries its own tree position,
+				// so it is still worth recording, under evaluation index 0.
+				evalIdx := 0
+				if cur.j != nil {
+					evalIdx = cur.j.eval
+				}
+				p.recordSpanFrame(m, evalIdx, workerID)
+			case cur.j != nil && m.Type == MsgResult && m.ID == cur.j.id:
+				p.deliverResult(cur.j, m, cur.attempt)
+				if cur.rpc.Valid() {
+					e := span.End(cur.rpc, cur.j.sc.Span, "rpc", time.Since(cur.sentAt))
+					e.Eval, e.Worker = cur.j.eval, workerID
+					p.record(e)
+				}
+				cur, queue, cancelled = inflight{}, p.queue, nil
 			}
-			if m.Type == MsgSpan {
-				// A span straggling in after its evaluation was delivered or
-				// cancelled: it carries its own tree position, so it is still
-				// worth recording.
-				p.recordSpanFrame(m, 0, workerID)
-			}
-			// Proof of life already recorded by the pump.
+			// Anything else is a heartbeat or a stale result from a previously
+			// cancelled job; proof of life was already recorded by the pump.
 		case <-check.C:
 			if w.Stale(hbTimeout) {
 				w.Kill()
-				return errHeartbeat
+				return lost(errHeartbeat)
 			}
-		case j := <-p.queue:
+		case j := <-queue:
 			if j.finished() {
 				continue
 			}
-			if err := p.dispatch(w, j, workerID); err != nil {
-				if id := w.Identity(); id.Remote && !errors.Is(err, errPoolClosed) && !j.finished() {
-					// The lease died with the evaluation still claimed under
-					// it: the job is re-dispatched below under whatever lease
-					// comes next, and any result the old worker still grinds
-					// out is fenced off by its stale lease ID.
-					p.bump(func(s *PoolStats) { s.LeaseExpires++ })
-					p.record(obs.Event{Kind: obs.KindLeaseExpire, Worker: workerID, Eval: int(j.id), Ident: id.String()})
-				}
-				p.requeue(j)
-				return err
+			cur = inflight{j: j, attempt: j.dispatches.Add(1)}
+			if err := p.dispatch(w, &cur, workerID); err != nil {
+				return lost(err)
+			}
+			queue, cancelled = nil, j.ctx.Done()
+		case <-cancelled:
+			// The job stopped mattering: the caller is gone or another
+			// dispatch won. Ask the worker to abandon it, then keep waiting
+			// for the acknowledging result so the worker returns to a known
+			// idle state; the heartbeat check still covers a wedged worker.
+			cancelled = nil
+			if err := w.Send(Message{Type: MsgCancel, ID: cur.j.id}); err != nil {
+				return lost(fmt.Errorf("worker: cancel write: %w", err))
 			}
 		}
 	}
 }
 
-// dispatch sends one evaluation to w and waits for its result. A nil return
-// means the worker is healthy and idle again (even if the job itself
-// failed or was cancelled); an error means the worker is lost and the job
-// has not been answered.
+// dispatch sends cur's evaluation to w; the result is awaited by serve.
 //
 // When the job carries an eval span and the peer speaks the trace
 // capability, the eval frame is stamped with a derived "rpc" span context:
 // the worker parents its train/epoch spans under it, and the pool records
 // the rpc span itself (send → result delivery) plus a "dispatch" span
 // covering the queue wait inside the pool.
-func (p *Pool) dispatch(w Conn, j *job, workerID int) error {
-	attempt := j.dispatches.Add(1)
+func (p *Pool) dispatch(w *attachment, cur *inflight, workerID int) error {
+	j := cur.j
 	seq := p.dispatchSeq.Add(1)
 	frame := Message{Type: MsgEval, ID: j.id, Arch: j.a, Seed: j.seed}
-	var rpc span.Context
-	traced := j.sc.Valid() && connTraces(w)
-	if traced {
-		rpc = span.Derive(j.sc, "rpc", j.id, uint64(attempt))
-		frame.Trace = rpc.Encode()
+	if j.sc.Valid() && w.traces {
+		cur.rpc = span.Derive(j.sc, "rpc", j.id, uint64(cur.attempt))
+		frame.Trace = cur.rpc.Encode()
 	}
-	sendT := time.Now()
+	cur.sentAt = time.Now()
 	if err := w.Send(frame); err != nil {
 		return fmt.Errorf("worker: dispatch write: %w", err)
 	}
-	if traced {
-		e := span.End(span.Derive(j.sc, "dispatch", j.id, uint64(attempt)), j.sc.Span, "dispatch", sendT.Sub(j.enq))
+	if cur.rpc.Valid() {
+		e := span.End(span.Derive(j.sc, "dispatch", j.id, uint64(cur.attempt)), j.sc.Span, "dispatch", cur.sentAt.Sub(j.enq))
 		e.Eval, e.Worker = j.eval, workerID
 		p.record(e)
 	}
@@ -665,60 +697,7 @@ func (p *Pool) dispatch(w Conn, j *job, workerID int) error {
 		// (SIGKILL for a subprocess, link cut for a remote agent).
 		w.Kill()
 	}
-	hbTimeout := p.opts.heartbeatTimeout()
-	check := time.NewTicker(checkInterval(hbTimeout))
-	defer check.Stop()
-	cancelDone := j.ctx.Done()
-	for {
-		select {
-		case <-p.closed:
-			w.Kill()
-			return errPoolClosed
-		case m, ok := <-w.Msgs():
-			if !ok {
-				return fmt.Errorf("worker: worker died mid-evaluation: %w", w.WaitResult())
-			}
-			if m.Type == MsgResult && m.ID == j.id {
-				p.deliverResult(j, m, attempt)
-				if traced {
-					e := span.End(rpc, j.sc.Span, "rpc", time.Since(sendT))
-					e.Eval, e.Worker = j.eval, workerID
-					p.record(e)
-				}
-				return nil
-			}
-			if m.Type == MsgSpan {
-				p.recordSpanFrame(m, j.eval, workerID)
-				continue
-			}
-			// Heartbeats and stale results from a previously cancelled job.
-		case <-check.C:
-			if w.Stale(hbTimeout) {
-				w.Kill()
-				return errHeartbeat
-			}
-		case <-cancelDone:
-			// The job stopped mattering: the caller is gone or another
-			// dispatch won. Ask the worker to abandon it, then keep waiting
-			// for the acknowledging result so the worker returns to a known
-			// idle state; the heartbeat check still covers a wedged worker.
-			cancelDone = nil
-			if err := w.Send(Message{Type: MsgCancel, ID: j.id}); err != nil {
-				return fmt.Errorf("worker: cancel write: %w", err)
-			}
-		}
-	}
-}
-
-// connTraces reports whether the attachment's peer understands span
-// propagation: a remote agent must have advertised the trace capability in
-// its welcome; a pipe subprocess runs this same binary and self-gates on
-// the eval frame's Trace field, so it always qualifies.
-func connTraces(w Conn) bool {
-	if c, ok := w.(interface{ Caps() []string }); ok {
-		return HasCap(c.Caps(), CapTrace)
-	}
-	return true
+	return nil
 }
 
 // recordSpanFrame re-records a span that completed in the worker process
@@ -803,9 +782,9 @@ func checkInterval(hbTimeout time.Duration) time.Duration {
 // under StartTimeout. started reports whether an attachment ever came up
 // (false = the endpoint itself is unavailable, the fast-degradation
 // signal).
-func (p *Pool) connect(tr Transport, workerID, incarnation int) (w Conn, started bool, err error) {
+func (p *Pool) connect(tr Transport, workerID, incarnation int) (w *attachment, started bool, err error) {
 	t0 := time.Now()
-	w, started, err = tr.Connect(workerID, incarnation, p.closed)
+	w, started, err = tr.attach(workerID, incarnation, p.closed)
 	if err != nil {
 		return nil, started, err
 	}
@@ -814,7 +793,7 @@ func (p *Pool) connect(tr Transport, workerID, incarnation int) (w Conn, started
 	defer ready.Stop()
 	for {
 		select {
-		case m, ok := <-w.Msgs():
+		case m, ok := <-w.msgs:
 			if !ok {
 				return nil, true, fmt.Errorf("worker: exited before ready: %w", w.WaitResult())
 			}

@@ -19,7 +19,7 @@ func TestPoolEmitsSupervisionEvents(t *testing.T) {
 	opts.Workers = 2
 	opts.KillNth = 2
 	opts.Recorder = ring
-	opts.Command = helperCommand(func(int, int) []string { return []string{"HELPER_SLEEP=30ms"} })
+	opts.Transport = pipe(helperCommand(func(int, int) []string { return []string{"HELPER_SLEEP=30ms"} }))
 	pool, err := worker.NewPool(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -126,12 +126,12 @@ func TestPoolSpeculationEvents(t *testing.T) {
 	opts.Recorder = ring
 	// Slot 0 straggles hard; slot 1 answers fast, so the duplicate dispatch
 	// of a job stuck on slot 0 decides it.
-	opts.Command = helperCommand(func(workerID, _ int) []string {
+	opts.Transport = pipe(helperCommand(func(workerID, _ int) []string {
 		if workerID == 0 {
 			return []string{"HELPER_STRAGGLE=2s"}
 		}
 		return nil
-	})
+	}))
 	pool, err := worker.NewPool(opts)
 	if err != nil {
 		t.Fatal(err)

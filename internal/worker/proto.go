@@ -13,6 +13,14 @@
 // degrades gracefully to an in-process evaluator when subprocesses cannot
 // be spawned at all.
 //
+// The supervisor knows one kind of worker, the attachment (transport.go): a
+// Transport only spawns (PipeTransport) or dials and handshakes
+// (DialTransport) and fills in the byte stream, how to kill and reap it,
+// its SlotIdentity, and an optional lease fence. The frame pump, proof of
+// life and kill/shutdown escalation are the attachment's, and one loop per
+// ready attachment (Pool.serve) is either idle, taking the next job off the
+// queue, or busy, waiting for that job's result frame.
+//
 // The wire protocol is line-delimited JSON over the worker's stdin/stdout.
 // Worker logs go to stderr, which the supervisor passes through. Exactly
 // one evaluation is in flight per worker at a time:

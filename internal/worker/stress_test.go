@@ -75,7 +75,7 @@ func TestPoolKillStormStress(t *testing.T) {
 	opts.Workers = 3
 	opts.MaxRestarts = 200 // the storm is relentless; the budget must outlast it
 	opts.RestartBackoff = 5 * time.Millisecond
-	opts.Command = helperCommand(func(int, int) []string { return []string{"HELPER_SLEEP=25ms"} })
+	opts.Transport = pipe(helperCommand(func(int, int) []string { return []string{"HELPER_SLEEP=25ms"} }))
 	pool, err := worker.NewPool(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +345,7 @@ func TestPoolKillStormWithCancellation(t *testing.T) {
 	opts.Workers = 3
 	opts.MaxRestarts = 200
 	opts.RestartBackoff = 5 * time.Millisecond
-	opts.Command = helperCommand(func(int, int) []string { return []string{"HELPER_SLEEP=40ms"} })
+	opts.Transport = pipe(helperCommand(func(int, int) []string { return []string{"HELPER_SLEEP=40ms"} }))
 	pool, err := worker.NewPool(opts)
 	if err != nil {
 		t.Fatal(err)

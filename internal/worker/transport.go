@@ -39,39 +39,135 @@ func (id SlotIdentity) String() string {
 	return fmt.Sprintf("local:%d", id.PID)
 }
 
-// Conn is one live worker attachment being driven by the supervision loop.
-// Both transports satisfy it, so heartbeat liveness, crash detection,
-// restart budgets, speculation, and CrashLimit apply identically to a
-// subprocess over pipes and an agent over TCP.
-type Conn interface {
-	// Send writes one frame; an error means the peer is lost.
-	Send(Message) error
-	// Msgs yields inbound frames and is closed when the peer is gone.
-	Msgs() <-chan Message
-	// Stale reports no proof of life (no valid frame) within timeout.
-	Stale(timeout time.Duration) bool
-	// Kill force-terminates the attachment: SIGKILL for a subprocess,
-	// connection close for a network peer (the agent process survives).
-	Kill()
-	// EnsureDead kills and waits until the attachment is fully reaped.
-	EnsureDead()
-	// Shutdown asks the worker to finish cleanly, escalating to Kill.
-	Shutdown()
-	// WaitResult reports the terminal error (meaningful after Msgs closed).
-	WaitResult() error
-	// Identity reports what backs the slot right now.
-	Identity() SlotIdentity
+// attachment is one live worker attachment being driven by a slot's
+// supervision loop. It is the only such type: a transport fills in what
+// genuinely differs between a subprocess over pipes and an agent over TCP —
+// the byte stream, how to kill it, how to reap it, its identity, and the
+// lease fence — and everything else (the frame pump, proof of life, kill /
+// shutdown escalation) is written here once, so heartbeat liveness, crash
+// detection, restart budgets, speculation, and CrashLimit apply identically
+// to both.
+type attachment struct {
+	// id.Lease, when nonzero, fences the attachment: inbound frames carrying
+	// any other lease are dropped and counted, never delivered. A pipe is
+	// private to the supervisor that spawned the process and carries none.
+	id SlotIdentity
+	// traces reports whether the peer understands span propagation: a remote
+	// agent must have advertised the trace capability in its welcome; a pipe
+	// subprocess runs this same binary and self-gates on the eval frame's
+	// Trace field, so it always qualifies.
+	traces bool
+	fw     *frameWriter
+	// hangup closes the stream toward the worker so a pipe worker also sees
+	// EOF on shutdown; nil for a network peer, whose only close is kill.
+	hangup func() error
+	// kill force-terminates: SIGKILL for a subprocess, connection close for
+	// a network peer (the agent process survives; only this lease dies).
+	kill func()
+	// reap turns the pump's terminal read error into the attachment's
+	// terminal error, waiting for a subprocess to exit first.
+	reap func(readErr error) error
+
+	msgs  chan Message  // inbound frames; closed when the peer is gone
+	dying chan struct{} // closed by Kill: the consumer may have left
+	done  chan struct{} // closed once the attachment is fully reaped
+
+	lastBeat atomic.Int64 // unix nanos of the last valid frame
+	fenced   atomic.Int64 // frames dropped for carrying a foreign lease
+	killOnce sync.Once
+	waitErr  error // set by the pump before done closes
 }
 
-// Transport establishes worker attachments for pool slots. Connect blocks
+// start launches the frame pump over r (already past any handshake) and
+// returns the attachment ready for use.
+func (a *attachment) start(r *frameReader) *attachment {
+	// 64 frames of slack, so a burst of span frames ahead of a result does
+	// not run the pump in lockstep with the supervision loop recording them.
+	a.msgs = make(chan Message, 64)
+	a.dying, a.done = make(chan struct{}), make(chan struct{})
+	a.lastBeat.Store(time.Now().UnixNano())
+	go func() {
+		var readErr error
+		for {
+			m, err := r.next()
+			if err != nil {
+				readErr = err
+				break
+			}
+			if a.id.Lease != 0 && m.Lease != a.id.Lease {
+				// Fencing: a frame from some other lease (a zombie serve loop,
+				// a confused agent) is not proof of life and must never reach
+				// the supervision loop as a deliverable result.
+				a.fenced.Add(1)
+				continue
+			}
+			a.lastBeat.Store(time.Now().UnixNano())
+			select {
+			case a.msgs <- m:
+			case <-a.dying:
+				// Consumer gone; keep draining so the stream reaches EOF.
+			}
+		}
+		close(a.msgs)
+		a.waitErr = a.reap(readErr)
+		close(a.done)
+	}()
+	return a
+}
+
+// Send writes one frame; an error means the peer is lost.
+func (a *attachment) Send(m Message) error { return a.fw.send(m) }
+
+// Stale reports no proof of life (no valid frame) within timeout.
+func (a *attachment) Stale(timeout time.Duration) bool {
+	return time.Since(time.Unix(0, a.lastBeat.Load())) > timeout
+}
+
+// Kill force-terminates the attachment and tells the pump its consumer may
+// be gone.
+func (a *attachment) Kill() {
+	a.killOnce.Do(func() { close(a.dying) })
+	a.kill()
+}
+
+// EnsureDead kills and waits until the attachment is fully reaped.
+func (a *attachment) EnsureDead() {
+	a.Kill()
+	<-a.done
+}
+
+// Shutdown asks the worker to finish cleanly (a subprocess exits; an agent
+// ends its serve loop for this lease and keeps listening), escalating to
+// Kill after two seconds.
+func (a *attachment) Shutdown() {
+	_ = a.Send(Message{Type: MsgShutdown})
+	if a.hangup != nil {
+		_ = a.hangup()
+	}
+	select {
+	case <-a.done:
+	case <-time.After(2 * time.Second):
+	}
+	a.EnsureDead()
+}
+
+// WaitResult reports why the attachment ended (only meaningful after msgs
+// closed).
+func (a *attachment) WaitResult() error {
+	<-a.done
+	return a.waitErr
+}
+
+// Transport establishes worker attachments for pool slots. attach blocks
 // until the worker is attached (process started and pumping, or connection
 // handshaken) but not until it is ready — the pool waits for the ready
 // frame itself, under StartTimeout, for both transports. started reports
 // whether a process/connection ever came up: false means the endpoint is
-// entirely unavailable, the pool's fast-degradation signal. cancel aborts a
-// connect attempt when the pool closes.
+// entirely unavailable, the pool's fast-degradation signal. cancel aborts
+// an attempt when the pool closes. The two implementations are
+// PipeTransport and DialTransport.
 type Transport interface {
-	Connect(workerID, incarnation int, cancel <-chan struct{}) (conn Conn, started bool, err error)
+	attach(workerID, incarnation int, cancel <-chan struct{}) (a *attachment, started bool, err error)
 	// Kind is a short label for logs: "pipe" or "tcp".
 	Kind() string
 }
@@ -79,16 +175,19 @@ type Transport interface {
 // PipeTransport spawns worker subprocesses and attaches to them over
 // stdin/stdout — the original single-machine transport.
 type PipeTransport struct {
-	// Command builds the exec.Cmd for one worker process (see
-	// PoolOptions.Command).
+	// Command builds the exec.Cmd for one worker process. workerID is the
+	// stable pool slot; incarnation counts respawns of that slot, so fault
+	// seeds can differ across restarts (a deterministic self-kill decision
+	// must not recur forever in the replacement process). A nil Stderr is
+	// replaced with os.Stderr so worker logs pass through.
 	Command func(workerID, incarnation int) *exec.Cmd
 }
 
 // Kind implements Transport.
 func (t *PipeTransport) Kind() string { return "pipe" }
 
-// Connect implements Transport: start the subprocess and its frame pump.
-func (t *PipeTransport) Connect(workerID, incarnation int, cancel <-chan struct{}) (Conn, bool, error) {
+// attach implements Transport: spawn the subprocess.
+func (t *PipeTransport) attach(workerID, incarnation int, cancel <-chan struct{}) (*attachment, bool, error) {
 	if t.Command == nil {
 		return nil, false, errors.New("worker: PipeTransport needs a Command")
 	}
@@ -110,90 +209,20 @@ func (t *PipeTransport) Connect(workerID, incarnation int, cancel <-chan struct{
 	if err := cmd.Start(); err != nil {
 		return nil, false, fmt.Errorf("worker: starting %q: %w", cmd.Path, err)
 	}
-	w := &proc{
-		cmd: cmd, stdin: stdin, fw: newFrameWriter(stdin),
-		msgs: make(chan Message, 64), dying: make(chan struct{}), done: make(chan struct{}),
-	}
-	w.lastBeat.Store(time.Now().UnixNano())
-	go func() {
-		r := newFrameReader(stdout)
-		for {
-			m, err := r.next()
-			if err != nil {
-				break
+	a := &attachment{
+		id:     SlotIdentity{PID: cmd.Process.Pid},
+		traces: true,
+		fw:     newFrameWriter(stdin),
+		hangup: stdin.Close,
+		kill:   func() { _ = cmd.Process.Kill() },
+		reap: func(error) error {
+			if err := cmd.Wait(); err != nil {
+				return err
 			}
-			w.lastBeat.Store(time.Now().UnixNano())
-			select {
-			case w.msgs <- m:
-			case <-w.dying:
-				// Consumer gone; keep draining so the pipe reaches EOF.
-			}
-		}
-		close(w.msgs)
-		w.waitErr = cmd.Wait()
-		close(w.done)
-	}()
-	return w, true, nil
-}
-
-// proc wraps one live worker subprocess: its pipes, its message pump, and
-// its lifecycle.
-type proc struct {
-	cmd   *exec.Cmd
-	stdin io.WriteCloser
-	fw    *frameWriter
-	msgs  chan Message // closed when the pump sees EOF
-	dying chan struct{}
-	done  chan struct{} // closed once the process is reaped
-
-	lastBeat atomic.Int64 // unix nanos of the last frame seen
-	killOnce sync.Once
-	waitErr  error
-}
-
-func (w *proc) Send(m Message) error { return w.fw.send(m) }
-
-func (w *proc) Msgs() <-chan Message { return w.msgs }
-
-func (w *proc) Identity() SlotIdentity {
-	return SlotIdentity{PID: w.cmd.Process.Pid}
-}
-
-func (w *proc) Stale(timeout time.Duration) bool {
-	return time.Since(time.Unix(0, w.lastBeat.Load())) > timeout
-}
-
-// Kill SIGKILLs the process and tells the pump its consumer may be gone.
-func (w *proc) Kill() {
-	w.killOnce.Do(func() { close(w.dying) })
-	_ = w.cmd.Process.Kill()
-}
-
-// EnsureDead guarantees the process is gone and reaped.
-func (w *proc) EnsureDead() {
-	w.Kill()
-	<-w.done
-}
-
-// Shutdown asks the worker to exit cleanly, escalating to SIGKILL.
-func (w *proc) Shutdown() {
-	_ = w.Send(Message{Type: MsgShutdown})
-	_ = w.stdin.Close()
-	select {
-	case <-w.done:
-	case <-time.After(2 * time.Second):
-		w.EnsureDead()
+			return errors.New("clean exit")
+		},
 	}
-}
-
-// WaitResult reports the reaped process's exit error (only meaningful after
-// msgs has closed).
-func (w *proc) WaitResult() error {
-	<-w.done
-	if w.waitErr == nil {
-		return errors.New("clean exit")
-	}
-	return w.waitErr
+	return a.start(newFrameReader(stdout)), true, nil
 }
 
 // netWriteTimeout bounds one frame write to a network peer, so a driver
@@ -244,8 +273,8 @@ func (t *DialTransport) handshakeTimeout() time.Duration {
 // Kind implements Transport.
 func (t *DialTransport) Kind() string { return "tcp" }
 
-// Connect implements Transport: dial, handshake, lease, pump.
-func (t *DialTransport) Connect(workerID, incarnation int, cancel <-chan struct{}) (Conn, bool, error) {
+// attach implements Transport: dial, handshake, lease.
+func (t *DialTransport) attach(workerID, incarnation int, cancel <-chan struct{}) (*attachment, bool, error) {
 	if len(t.Addrs) == 0 {
 		return nil, false, errors.New("worker: DialTransport has no agent addresses")
 	}
@@ -270,9 +299,9 @@ func (t *DialTransport) Connect(workerID, incarnation int, cancel <-chan struct{
 		return nil, false, fmt.Errorf("worker: dial %s: %w", addr, err)
 	}
 	lease := LeaseID(t.Seed, workerID, incarnation)
-	fw := newFrameWriter(c)
-	dr := &deadlineReader{c: c}
-	r := newFrameReader(dr)
+	dc := &deadlineConn{c: c}
+	fw := newFrameWriter(dc)
+	r := newFrameReader(dc)
 	_ = c.SetDeadline(time.Now().Add(t.handshakeTimeout()))
 	hello := Message{Type: MsgHello, Schema: ProtoSchema, Lease: lease, Epoch: incarnation, Caps: []string{CapEval, CapTrace}}
 	if err := fw.send(hello); err != nil {
@@ -289,125 +318,44 @@ func (t *DialTransport) Connect(workerID, incarnation int, cancel <-chan struct{
 		return nil, true, fmt.Errorf("%w (agent %s)", err, addr)
 	}
 	_ = c.SetDeadline(time.Time{})
-	dr.timeout = t.ReadTimeout
-	w := &netConn{
-		c: c, fw: fw,
-		msgs: make(chan Message, 64), dying: make(chan struct{}), done: make(chan struct{}),
-		id:   SlotIdentity{Remote: true, Addr: addr, Lease: lease, Epoch: incarnation, Name: m.Ident},
-		caps: m.Caps,
+	dc.read, dc.write = t.ReadTimeout, netWriteTimeout
+	a := &attachment{
+		id: SlotIdentity{Remote: true, Addr: addr, Lease: lease, Epoch: incarnation, Name: m.Ident},
+		// An agent predating capability echo reports none and simply gets
+		// no trace fields.
+		traces: HasCap(m.Caps, CapTrace),
+		fw:     fw,
+		kill:   func() { _ = c.Close() },
+		reap: func(readErr error) error {
+			if errors.Is(readErr, io.EOF) {
+				return errors.New("connection closed")
+			}
+			return readErr
+		},
 	}
-	w.lastBeat.Store(time.Now().UnixNano())
-	go func() {
-		for {
-			m, err := r.next()
-			if err != nil {
-				w.waitErr = err
-				break
-			}
-			if m.Lease != lease {
-				// Fencing: a frame from some other lease (a zombie serve loop,
-				// a confused agent) is not proof of life and must never reach
-				// the supervision loop as a deliverable result.
-				w.staleFrames.Add(1)
-				continue
-			}
-			w.lastBeat.Store(time.Now().UnixNano())
-			select {
-			case w.msgs <- m:
-			case <-w.dying:
-				// Consumer gone; keep draining until the peer closes.
-			}
-		}
-		close(w.msgs)
-		close(w.done)
-	}()
-	return w, true, nil
+	return a.start(r), true, nil
 }
 
-// deadlineReader arms a fresh read deadline before every Read, turning
+// deadlineConn arms a fresh deadline before every Read and Write, turning
 // net.Conn's absolute deadlines into the per-read timeout DialTransport
-// exposes. timeout is written once, before the pump goroutine starts.
-type deadlineReader struct {
-	c       net.Conn
-	timeout time.Duration
+// exposes and the per-frame netWriteTimeout (one frame is one Write). Both
+// are zero — off — during the handshake, which runs under one absolute
+// deadline, and are written once, before the pump goroutine starts.
+type deadlineConn struct {
+	c           net.Conn
+	read, write time.Duration
 }
 
-func (r *deadlineReader) Read(p []byte) (int, error) {
-	if r.timeout > 0 {
-		_ = r.c.SetReadDeadline(time.Now().Add(r.timeout))
+func (d *deadlineConn) Read(p []byte) (int, error) {
+	if d.read > 0 {
+		_ = d.c.SetReadDeadline(time.Now().Add(d.read))
 	}
-	return r.c.Read(p)
+	return d.c.Read(p)
 }
 
-// netConn is one leased TCP attachment to a remote agent.
-type netConn struct {
-	c     net.Conn
-	fw    *frameWriter
-	msgs  chan Message // closed when the pump sees a terminal read error
-	dying chan struct{}
-	done  chan struct{}
-
-	lastBeat    atomic.Int64 // unix nanos of the last valid-lease frame
-	staleFrames atomic.Int64 // frames dropped for carrying a foreign lease
-	killOnce    sync.Once
-	waitErr     error // set by the pump before done closes
-	id          SlotIdentity
-	caps        []string // agent capabilities from the welcome frame
-}
-
-func (w *netConn) Send(m Message) error {
-	_ = w.c.SetWriteDeadline(time.Now().Add(netWriteTimeout))
-	return w.fw.send(m)
-}
-
-func (w *netConn) Msgs() <-chan Message { return w.msgs }
-
-func (w *netConn) Identity() SlotIdentity { return w.id }
-
-// Caps reports the agent's advertised capabilities (from its welcome). The
-// pool uses it to decide whether this peer understands span propagation;
-// an agent predating capability echo reports none and simply gets no
-// trace fields.
-func (w *netConn) Caps() []string { return w.caps }
-
-// StaleFrames reports how many inbound frames this connection fenced off
-// for carrying a lease other than its own.
-func (w *netConn) StaleFrames() int64 { return w.staleFrames.Load() }
-
-func (w *netConn) Stale(timeout time.Duration) bool {
-	return time.Since(time.Unix(0, w.lastBeat.Load())) > timeout
-}
-
-// Kill severs the connection. The agent process keeps running and keeps
-// accepting new connections; only this lease dies.
-func (w *netConn) Kill() {
-	w.killOnce.Do(func() { close(w.dying) })
-	_ = w.c.Close()
-}
-
-// EnsureDead severs the connection and waits for the pump to drain.
-func (w *netConn) EnsureDead() {
-	w.Kill()
-	<-w.done
-}
-
-// Shutdown tells the agent this lease is done (its serve loop for this
-// connection exits; the agent itself keeps listening) and closes the link.
-func (w *netConn) Shutdown() {
-	_ = w.Send(Message{Type: MsgShutdown})
-	select {
-	case <-w.done:
-	case <-time.After(2 * time.Second):
+func (d *deadlineConn) Write(p []byte) (int, error) {
+	if d.write > 0 {
+		_ = d.c.SetWriteDeadline(time.Now().Add(d.write))
 	}
-	w.EnsureDead()
-}
-
-// WaitResult reports why the connection ended (only meaningful after Msgs
-// closed).
-func (w *netConn) WaitResult() error {
-	<-w.done
-	if w.waitErr == nil || errors.Is(w.waitErr, io.EOF) {
-		return errors.New("connection closed")
-	}
-	return w.waitErr
+	return d.c.Write(p)
 }

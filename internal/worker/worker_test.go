@@ -44,6 +44,13 @@ func helperMain() {
 	if rate := envFloat("HELPER_KILLRATE", 0); rate > 0 {
 		ev = &search.FaultInjector{Inner: ev, Seed: envUint("HELPER_KILLSEED", 0), KillRate: rate}
 	}
+	if os.Getenv("HELPER_FOREIGN_LEASE") == "1" {
+		// TestAttachment's scripted peer: fixed frames, then wait for the
+		// supervisor to hang up.
+		worker.ForeignLeaseScript(json.NewEncoder(os.Stdout), worker.Message{})
+		_, _ = io.Copy(io.Discard, os.Stdin)
+		os.Exit(0)
+	}
 	if addr := os.Getenv("HELPER_LISTEN"); addr != "" {
 		// Agent mode: a dialable TCP worker instead of a pipe worker. The
 		// LISTENING line on stdout tells the babysitting test the port is
@@ -129,7 +136,12 @@ func (m *mockEval) EvaluateCtx(ctx context.Context, a arch.Arch, seed uint64) (f
 	return mockReward(a, seed), nil
 }
 
-// helperCommand builds a Pool Command that re-execs this test binary as a
+// pipe is the subprocess transport over a worker command.
+func pipe(cmd func(workerID, incarnation int) *exec.Cmd) worker.Transport {
+	return &worker.PipeTransport{Command: cmd}
+}
+
+// helperCommand builds a worker command that re-execs this test binary as a
 // helper worker. extra adds per-spawn environment; it may inspect the
 // worker id and incarnation.
 func helperCommand(extra func(workerID, incarnation int) []string) func(int, int) *exec.Cmd {
@@ -146,7 +158,7 @@ func helperCommand(extra func(workerID, incarnation int) []string) func(int, int
 func fastPoolOptions() worker.PoolOptions {
 	return worker.PoolOptions{
 		Workers:         1,
-		Command:         helperCommand(nil),
+		Transport:       pipe(helperCommand(nil)),
 		Heartbeat:       50 * time.Millisecond,
 		HeartbeatMisses: 4,
 		MaxRestarts:     5,
@@ -275,7 +287,7 @@ func TestPoolSurvivesInjectedKill(t *testing.T) {
 	opts := fastPoolOptions()
 	opts.Workers = 2
 	opts.KillNth = 2
-	opts.Command = helperCommand(func(int, int) []string { return []string{"HELPER_SLEEP=30ms"} })
+	opts.Transport = pipe(helperCommand(func(int, int) []string { return []string{"HELPER_SLEEP=30ms"} }))
 	pool, err := worker.NewPool(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -311,17 +323,20 @@ func TestPoolSurvivesInjectedKill(t *testing.T) {
 // TestPoolSurvivesSelfKill exercises the FaultInjector's process-kill mode
 // inside real workers: each evaluation has a chance of SIGKILLing its own
 // process mid-flight. Incarnation-perturbed fault seeds keep a restarted
-// worker from re-drawing the same fatal decision forever.
+// worker from re-drawing the same fatal decision forever. The kill draw is a
+// function of (slot incarnation seed, evaluation seed, attempt), so one slot
+// fed by one runner worker fixes which incarnation takes which evaluation —
+// with two slots that is the scheduler's choice, and some assignments
+// contain no kill at all.
 func TestPoolSurvivesSelfKill(t *testing.T) {
 	opts := fastPoolOptions()
-	opts.Workers = 2
 	opts.MaxRestarts = 20
-	opts.Command = helperCommand(func(workerID, incarnation int) []string {
+	opts.Transport = pipe(helperCommand(func(workerID, incarnation int) []string {
 		return []string{
 			"HELPER_KILLRATE=0.4",
 			fmt.Sprintf("HELPER_KILLSEED=%d", 99+uint64(workerID)*1000+uint64(incarnation)*7919),
 		}
-	})
+	}))
 	pool, err := worker.NewPool(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +344,7 @@ func TestPoolSurvivesSelfKill(t *testing.T) {
 	defer pool.Close()
 
 	const seed, evals = 3, 8
-	res := runPooledSearch(t, pool, seed, evals, 2, 2)
+	res := runPooledSearch(t, pool, seed, evals, 1, 2)
 	if len(res) != evals {
 		t.Fatalf("budget not spent: %d of %d evaluations", len(res), evals)
 	}
@@ -353,7 +368,7 @@ func TestPoolHeartbeatTimeout(t *testing.T) {
 	opts.HeartbeatMisses = 2
 	opts.MaxRestarts = 1
 	opts.Fallback = &mockEval{}
-	opts.Command = helperCommand(func(int, int) []string { return []string{"HELPER_NOBEAT=1"} })
+	opts.Transport = pipe(helperCommand(func(int, int) []string { return []string{"HELPER_NOBEAT=1"} }))
 	pool, err := worker.NewPool(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -384,13 +399,14 @@ func TestPoolHeartbeatTimeout(t *testing.T) {
 	}
 }
 
-// spawnWatch is a Recorder that forwards the slot of every worker-spawn
-// event, so a test can wait for attachments instead of sleeping.
-type spawnWatch chan int
+// poolWatch is a Recorder that forwards worker-spawn, spec-launch and
+// spec-win events, so a test can wait for them instead of sleeping.
+type poolWatch chan obs.Event
 
-func (s spawnWatch) Record(e obs.Event) {
-	if e.Kind == obs.KindWorkerSpawn {
-		s <- e.Worker
+func (w poolWatch) Record(e obs.Event) {
+	switch e.Kind {
+	case obs.KindWorkerSpawn, obs.KindSpecLaunch, obs.KindSpecWin:
+		w <- e
 	}
 }
 
@@ -400,16 +416,16 @@ func TestPoolSpeculativeReexecution(t *testing.T) {
 	opts := fastPoolOptions()
 	opts.Workers = 2
 	opts.SpeculativeAfter = 150 * time.Millisecond
-	opts.Command = helperCommand(func(workerID, _ int) []string {
+	opts.Transport = pipe(helperCommand(func(workerID, _ int) []string {
 		if workerID == 0 {
 			return []string{"HELPER_STRAGGLE=30s"} // pathological straggler
 		}
 		return nil
-	})
-	// Sized to the most spawn events the restart budget allows, so Record
-	// never blocks a supervisor.
-	spawned := make(spawnWatch, opts.Workers*(opts.MaxRestarts+1))
-	opts.Recorder = spawned
+	}))
+	// Sized to the most spawn events the restart budget allows plus the one
+	// launch and win, so Record never blocks a supervisor.
+	events := make(poolWatch, opts.Workers*(opts.MaxRestarts+1)+2)
+	opts.Recorder = events
 	pool, err := worker.NewPool(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -423,8 +439,8 @@ func TestPoolSpeculativeReexecution(t *testing.T) {
 	// submitted, or the healthy slot alone would drain the queue.
 	for attached := map[int]bool{}; len(attached) < opts.Workers; {
 		select {
-		case slot := <-spawned:
-			attached[slot] = true
+		case e := <-events:
+			attached[e.Worker] = true
 		case <-ctx.Done():
 			t.Fatalf("slots %v attached, want %d", attached, opts.Workers)
 		}
@@ -439,8 +455,10 @@ func TestPoolSpeculativeReexecution(t *testing.T) {
 	// the scheduler's choice, so submit one at a time until one was held.
 	space := arch.Default()
 	rng := tensor.NewRNG(2)
-	for seed := uint64(100); pool.Stats().SpeculativeWins < 1; seed++ {
-		a := space.Random(rng)
+	held := 0 // the pool numbers submissions from 1
+	for pool.Stats().SpeculativeRuns < 1 {
+		held++
+		a, seed := space.Random(rng), uint64(99+held)
 		r, err := pool.EvaluateCtx(ctx, a, seed)
 		if err != nil {
 			t.Fatalf("evaluation errored: %v (stats %+v)", err, pool.Stats())
@@ -449,8 +467,21 @@ func TestPoolSpeculativeReexecution(t *testing.T) {
 			t.Fatalf("reward %v, want %v", r, want)
 		}
 	}
-	if st := pool.Stats(); st.SpeculativeRuns < 1 {
-		t.Fatalf("speculative win without a speculative run: stats %+v", st)
+	// With the straggler parked for 30s nothing but the copy can have
+	// answered, so the win must be accounted to the evaluation it held. The
+	// event is recorded after the result is handed over: wait for it.
+	for won := false; !won; {
+		select {
+		case e := <-events:
+			if won = e.Kind == obs.KindSpecWin; won && e.Eval != held {
+				t.Fatalf("spec_win for evaluation %d, want %d", e.Eval, held)
+			}
+		case <-ctx.Done():
+			t.Fatalf("evaluation %d was held by the straggler but no spec_win arrived (stats %+v)", held, pool.Stats())
+		}
+	}
+	if st := pool.Stats(); st.SpeculativeWins != 1 {
+		t.Fatalf("spec_win event without the matching counter: stats %+v", st)
 	}
 }
 
@@ -459,9 +490,9 @@ func TestPoolSpeculativeReexecution(t *testing.T) {
 func TestPoolDegradesWhenSpawningUnavailable(t *testing.T) {
 	opts := fastPoolOptions()
 	opts.Fallback = &mockEval{}
-	opts.Command = func(int, int) *exec.Cmd {
+	opts.Transport = pipe(func(int, int) *exec.Cmd {
 		return exec.Command("/nonexistent/podnas-worker-binary")
-	}
+	})
 	pool, err := worker.NewPool(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -487,9 +518,9 @@ func TestPoolDegradesWhenSpawningUnavailable(t *testing.T) {
 // retry/recording policy applies, not hang.
 func TestPoolDegradesToTransientErrorWithoutFallback(t *testing.T) {
 	opts := fastPoolOptions()
-	opts.Command = func(int, int) *exec.Cmd {
+	opts.Transport = pipe(func(int, int) *exec.Cmd {
 		return exec.Command("/nonexistent/podnas-worker-binary")
-	}
+	})
 	pool, err := worker.NewPool(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -507,7 +538,7 @@ func TestPoolDegradesToTransientErrorWithoutFallback(t *testing.T) {
 // return the context error promptly.
 func TestPoolCancellation(t *testing.T) {
 	opts := fastPoolOptions()
-	opts.Command = helperCommand(func(int, int) []string { return []string{"HELPER_SLEEP=30s"} })
+	opts.Transport = pipe(helperCommand(func(int, int) []string { return []string{"HELPER_SLEEP=30s"} }))
 	pool, err := worker.NewPool(opts)
 	if err != nil {
 		t.Fatal(err)
