@@ -184,35 +184,3 @@ func lstmFwdScalar(z, cPrev, c, tanhC, h []float64, lo, hi int) {
 		h[j] = zo[j] * tc
 	}
 }
-
-// LSTMBackwardStep is the fused per-row BPTT sweep matching
-// LSTMForwardStep: gates (4H, activated, layout [i|f|g|o]), tanhC and
-// cPrev (H; cPrev nil at t=0), dout (H, loss gradient at this step),
-// dhn (H, recurrent hidden gradient carried from step t+1), dc (H, cell
-// gradient carry, updated in place for step t-1), dz (4H, receives the
-// pre-activation gate gradients).
-//
-//podnas:hotpath
-func LSTMBackwardStep(gates, tanhC, cPrev, dout, dhn, dc, dz []float64) {
-	H := len(tanhC)
-	gi, gf, gg4, go4 := gates[:H], gates[H:2*H], gates[2*H:3*H], gates[3*H:4*H]
-	for j := 0; j < H; j++ {
-		ig, fg, gg, og := gi[j], gf[j], gg4[j], go4[j]
-		tc := tanhC[j]
-		dh := dout[j] + dhn[j]
-		do := dh * tc
-		dcv := dh*og*(1-tc*tc) + dc[j]
-		di := dcv * gg
-		dg := dcv * ig
-		var cp float64
-		if cPrev != nil {
-			cp = cPrev[j]
-		}
-		df := dcv * cp
-		dz[j] = di * ig * (1 - ig)
-		dz[H+j] = df * fg * (1 - fg)
-		dz[2*H+j] = dg * (1 - gg*gg)
-		dz[3*H+j] = do * og * (1 - og)
-		dc[j] = dcv * fg
-	}
-}

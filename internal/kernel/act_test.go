@@ -156,56 +156,60 @@ func TestLSTMForwardStepExtremes(t *testing.T) {
 	}
 }
 
-// TestLSTMBackwardStepMatchesScalar mirrors the fused backward sweep
-// against a straight transcription of the unfused per-element formulas.
+// TestLSTMBackwardStepMatchesScalar mirrors the fused backward sweep, on
+// every family, against the straight transcription of the unfused
+// per-element formulas (refLSTMBackwardStep) on gate values as a forward
+// pass leaves them — at a ragged H, with a real previous cell state and
+// with the zeros that stand in for it at t = 0.
 func TestLSTMBackwardStepMatchesScalar(t *testing.T) {
 	const H = 33
-	r := &testRNG{s: 9}
-	gates := make([]float64, 4*H)
-	for j := 0; j < H; j++ {
-		gates[j] = 0.5 + 0.4*r.next()
-		gates[H+j] = 0.5 + 0.4*r.next()
-		gates[2*H+j] = 0.9 * r.next()
-		gates[3*H+j] = 0.5 + 0.4*r.next()
-	}
-	tanhC := make([]float64, H)
-	cPrev := make([]float64, H)
-	dout := make([]float64, H)
-	dhn := make([]float64, H)
-	dc := make([]float64, H)
-	for j := 0; j < H; j++ {
-		tanhC[j] = 0.9 * r.next()
-		cPrev[j] = r.next()
-		dout[j] = r.next()
-		dhn[j] = r.next()
-		dc[j] = r.next()
-	}
-	dcWant := append([]float64(nil), dc...)
-	dzWant := make([]float64, 4*H)
-	for j := 0; j < H; j++ {
-		ig, fg, gg, og := gates[j], gates[H+j], gates[2*H+j], gates[3*H+j]
-		dh := dout[j] + dhn[j]
-		do := dh * tanhC[j]
-		dcv := dh*og*(1-tanhC[j]*tanhC[j]) + dcWant[j]
-		di := dcv * gg
-		dg := dcv * ig
-		df := dcv * cPrev[j]
-		dzWant[j] = di * ig * (1 - ig)
-		dzWant[H+j] = df * fg * (1 - fg)
-		dzWant[2*H+j] = dg * (1 - gg*gg)
-		dzWant[3*H+j] = do * og * (1 - og)
-		dcWant[j] = dcv * fg
-	}
-	dz := make([]float64, 4*H)
-	LSTMBackwardStep(gates, tanhC, cPrev, dout, dhn, dc, dz)
-	for i := range dz {
-		if math.Float64bits(dz[i]) != math.Float64bits(dzWant[i]) {
-			t.Fatalf("dz[%d] = %g want %g", i, dz[i], dzWant[i])
-		}
-	}
-	for i := range dc {
-		if math.Float64bits(dc[i]) != math.Float64bits(dcWant[i]) {
-			t.Fatalf("dc[%d] = %g want %g", i, dc[i], dcWant[i])
+	for _, fam := range testFamilies() {
+		for _, zeroPrev := range []bool{false, true} {
+			r := &testRNG{s: 9}
+			gates := make([]float64, 4*H)
+			for j := 0; j < H; j++ {
+				gates[j] = 0.5 + 0.4*r.next()
+				gates[H+j] = 0.5 + 0.4*r.next()
+				gates[2*H+j] = 0.9 * r.next()
+				gates[3*H+j] = 0.5 + 0.4*r.next()
+			}
+			tanhC := make([]float64, H)
+			cPrev := make([]float64, H)
+			dout := make([]float64, H)
+			dhn := make([]float64, H)
+			dc := make([]float64, H)
+			for j := 0; j < H; j++ {
+				tanhC[j] = 0.9 * r.next()
+				cPrev[j] = r.next()
+				dout[j] = r.next()
+				dhn[j] = r.next()
+				dc[j] = r.next()
+			}
+			if zeroPrev {
+				clear(cPrev)
+			}
+			dcWant := append([]float64(nil), dc...)
+			dzWant := make([]float64, 4*H)
+			refLSTMBackwardStep(gates, tanhC, cPrev, dout, dhn, dcWant, dzWant)
+			dz := make([]float64, 4*H)
+			lstmBackwardStep(fam.isa, gates, tanhC, cPrev, dout, dhn, dc, dz)
+			for i := range dz {
+				if math.Float64bits(dz[i]) != math.Float64bits(dzWant[i]) {
+					t.Fatalf("%s zeroPrev=%v: dz[%d] = %g want %g", fam.name, zeroPrev, i, dz[i], dzWant[i])
+				}
+			}
+			for i := range dc {
+				if math.Float64bits(dc[i]) != math.Float64bits(dcWant[i]) {
+					t.Fatalf("%s zeroPrev=%v: dc[%d] = %g want %g", fam.name, zeroPrev, i, dc[i], dcWant[i])
+				}
+			}
+			if zeroPrev {
+				for j := H; j < 2*H; j++ {
+					if dz[j] != 0 {
+						t.Fatalf("%s: forget-gate gradient dz[%d] = %g at t = 0, want 0", fam.name, j, dz[j])
+					}
+				}
+			}
 		}
 	}
 }

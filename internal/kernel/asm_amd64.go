@@ -24,3 +24,42 @@ func gemmKernel8x16(c, a, b *float64, kc, ldc, ars, acs, bps int64, store bool)
 //
 //go:noescape
 func lstmFwdAVX512(z, cPrev, c, tanhC, h *float64, n, stride int64) int64
+
+// The elementwise family's vector bodies (elem.go): each takes a count
+// that is a whole number of its vectors (8 floats on AVX-512, 4 on AVX2)
+// and touches exactly that many elements of every operand.
+
+//go:noescape
+func adamAVX512(w, grad, m, v *float64, k *AdamCoeffs, n int64)
+
+//go:noescape
+func adamAVX2(w, grad, m, v *float64, k *AdamCoeffs, n int64)
+
+// The gate and dz blocks lie stride floats apart.
+//
+//go:noescape
+func lstmBwdAVX512(gates, tanhC, cPrev, dout, dhn, dc, dz *float64, n, stride int64)
+
+//go:noescape
+func lstmBwdAVX2(gates, tanhC, cPrev, dout, dhn, dc, dz *float64, n, stride int64)
+
+//go:noescape
+func reluAVX512(dst, src *float64, n int64)
+
+//go:noescape
+func reluAVX2(dst, src *float64, n int64)
+
+//go:noescape
+func reluGradAVX512(dst, out, dOut *float64, n int64)
+
+//go:noescape
+func reluGradAVX2(dst, out, dOut *float64, n int64)
+
+// For each of rows rows, dst[j] += src[j] over width columns, then dst
+// and src advance by their strides in floats.
+//
+//go:noescape
+func addRowsAVX512(dst, src *float64, rows, width, dstStride, srcStride int64)
+
+//go:noescape
+func addRowsAVX2(dst, src *float64, rows, width, dstStride, srcStride int64)

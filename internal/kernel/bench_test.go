@@ -67,3 +67,71 @@ func BenchmarkLSTMForwardStep(b *testing.B) {
 		LSTMForwardStep(z, cPrev, c, tc, h)
 	}
 }
+
+// elemBenchCases are the sizes one evaluation issues of each elementwise
+// op: Adam on a 96-unit LSTM's recurrent matrix and on the LSTM(5) head's
+// bias, the backward gate sweep one batch of 64 rows at a time at H = 5,
+// 16 and 96, the merge ReLU and add over (64·8)×96 activations, and the
+// bias broadcast and bias-gradient column sum over (64·8)×4·96 gate
+// pre-activations.
+var elemBenchCases = []struct {
+	op          string
+	rows, width int
+}{
+	{"AdamStep", 96, 384}, {"AdamStep", 5, 20},
+	{"LSTMBackwardStep", 64, 5}, {"LSTMBackwardStep", 64, 16}, {"LSTMBackwardStep", 64, 96},
+	{"ReLU", 512, 96}, {"ReLUGrad", 512, 96}, {"AddTo", 512, 96},
+	{"AddRows", 512, 384}, {"SumRows", 512, 384},
+}
+
+// elemBenchDrift lists, per op, the operands it updates in place whose
+// values would run away over a benchmark's iterations (Adam's moments
+// decay into denormals once the gradient is zeroed, and so does the cell
+// carry); BenchmarkElem restores them before every call, inside the
+// timing — one copy against Adam's three divisions or the sweep's
+// seventeen streams.
+var elemBenchDrift = map[string][]int{"AdamStep": {0, 1, 2, 3}, "LSTMBackwardStep": {5}}
+
+// BenchmarkElem reports ns per element of every elementwise op at the
+// sizes above on every family the host has. Adam is bound by the vector
+// divider (three divisions and a square root per element); the rest
+// stream at the speed of the cache the operands sit in.
+func BenchmarkElem(b *testing.B) {
+	for _, c := range elemBenchCases {
+		op := elemOps[elemOpIndex(c.op)]
+		drift := elemBenchDrift[op.name]
+		for _, fam := range testFamilies() {
+			b.Run(fmt.Sprintf("%s/%dx%d/%s", op.name, c.rows, c.width, fam.name), func(b *testing.B) {
+				r := &testRNG{s: 3}
+				// The gate sweep runs once per batch row, each row on
+				// operands of its own, as LSTM.backwardSweep issues it.
+				sets, per := 1, c.rows*c.width
+				if op.name == "LSTMBackwardStep" {
+					sets, per = c.rows, c.width
+				}
+				operands, fresh := make([][][]float64, sets), make([][][]float64, sets)
+				for s := range operands {
+					for _, n := range op.lens(c.rows, c.width) {
+						buf := make([]float64, n)
+						for j := range buf {
+							buf[j] = 0.5 + 0.4*r.next() // positive: Adam's v must have a square root
+						}
+						operands[s] = append(operands[s], buf)
+						fresh[s] = append(fresh[s], append([]float64(nil), buf...))
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for s, bufs := range operands {
+						for _, d := range drift {
+							copy(bufs[d], fresh[s][d])
+						}
+						op.run(fam.isa, c.rows, c.width, bufs)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sets*per), "ns/elem")
+			})
+		}
+	}
+}

@@ -14,9 +14,9 @@ func xgetbv() (eax, edx uint32)
 
 // hasAVX2 and hasAVX512 gate the SIMD micro-kernels; both require the
 // OS to have enabled the corresponding register state via XCR0.
-var hasAVX2, hasAVX512 bool
+var hasAVX2, hasAVX512 = detectCPU()
 
-func init() {
+func detectCPU() (avx2, avx512 bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return
@@ -40,7 +40,6 @@ func init() {
 		bitAVX2    = 1 << 5
 		bitAVX512F = 1 << 16
 	)
-	hasAVX2 = ebx7&bitAVX2 != 0
 	const opmaskZmm = 0xe0 // opmask + zmm_hi256 + hi16_zmm state
-	hasAVX512 = ebx7&bitAVX512F != 0 && xcr0&opmaskZmm == opmaskZmm
+	return ebx7&bitAVX2 != 0, ebx7&bitAVX512F != 0 && xcr0&opmaskZmm == opmaskZmm
 }

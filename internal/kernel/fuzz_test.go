@@ -45,3 +45,37 @@ func FuzzGemmShapes(f *testing.F) {
 		}
 	})
 }
+
+// FuzzElemwise runs one elementwise op at an arbitrary size — rows and
+// width in [0, 8] × [0, 70], or one of the real sizes of elemBenchCases,
+// which seed the corpus — with every operand starting off floats into
+// its allocation (so at every alignment a 64-byte vector can have), on
+// the families fams selects, against the scalar transcription bit for
+// bit, and checks that nothing outside the operands was written.
+func FuzzElemwise(f *testing.F) {
+	real := map[[3]uint16]bool{}
+	for _, c := range elemBenchCases {
+		op := elemOpIndex(c.op)
+		real[[3]uint16{uint16(op), uint16(c.rows), uint16(c.width)}] = true
+		f.Add(uint8(op), uint16(c.rows), uint16(c.width), uint8(0), uint8(0xff), uint64(1))
+	}
+	f.Fuzz(func(t *testing.T, opIdx uint8, rows, width uint16, off, fams uint8, seed uint64) {
+		opIdx %= uint8(len(elemOps))
+		if !real[[3]uint16{uint16(opIdx), rows, width}] {
+			rows, width = rows%9, width%71
+		}
+		op := elemOps[opIdx]
+		for i, fam := range testFamilies() {
+			if fams&(1<<i) == 0 {
+				continue
+			}
+			var ma margins
+			salt := int(seed%uint64(len(op.lens(1, 1))+1)) - 1
+			op.check(t, fam, int(rows), int(width), seed, salt, func(n int) []float64 {
+				b := ma.alloc(n + int(off%8))
+				return b[off%8:]
+			})
+			ma.verify(t, op.name+"/"+fam.name)
+		}
+	})
+}

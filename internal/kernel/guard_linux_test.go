@@ -59,3 +59,20 @@ func TestGemmGuardPages(t *testing.T) {
 		}
 	}
 }
+
+// TestElemGuardPages puts every operand of every elementwise op flush
+// against an unmapped page, on every family: a vector body that loads or
+// stores a whole vector where a tail remains faults here.
+func TestElemGuardPages(t *testing.T) {
+	for _, fam := range testFamilies() {
+		for _, op := range elemOps {
+			t.Run(op.name+"/"+fam.name, func(t *testing.T) {
+				for _, n := range []int{0, 1, 3, 5, 8, 12, 20, 33, 64, 70} {
+					for _, rows := range []int{1, 3} {
+						op.check(t, fam, rows, n, uint64(n), saltInf, func(n int) []float64 { return guarded(t, n) })
+					}
+				}
+			})
+		}
+	}
+}

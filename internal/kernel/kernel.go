@@ -1,9 +1,12 @@
 // Package kernel is the deterministic compute-kernel layer underneath
 // internal/tensor and internal/nn: a register-tiled GEMM with a single
 // dst-first entry point (Gemm) whose micro-kernels read the operands in
-// place through their strides, fused LSTM gate sweeps, and a slab arena
-// for hot-path scratch. The tensor MatMul* family and the nn training
-// loop are thin wrappers over this package.
+// place through their strides, the fused LSTM forward gate sweep
+// (LSTMForwardStep), the elementwise family that is every other loop of
+// a training step (AdamStep, LSTMBackwardStep, ReLU, ReLUGrad, AddTo,
+// AddRows, SumRows; see elem.go), and a slab arena for hot-path scratch.
+// The tensor MatMul* family and the nn training loop are thin wrappers
+// over this package.
 //
 // Determinism contract: for a fixed Config path (generic vs SIMD) the
 // result of every kernel is a pure function of its inputs — goroutine
@@ -11,8 +14,10 @@
 // output element is one accumulator summed over k in order whether its
 // operands were read in place or from packed copies, and pooled scratch
 // is always fully initialized before use. That makes serial-vs-parallel
-// runs bit-identical, which the tests pin. SIMD and generic paths agree
-// to rounding (FMA fuses the multiply-adds), not bitwise.
+// runs bit-identical, which the tests pin. For GEMM and the forward
+// sweep, SIMD and generic paths agree to rounding (FMA fuses the
+// multiply-adds, the vector exponential is its own polynomial), not
+// bitwise; the elementwise family's are bitwise equal.
 package kernel
 
 import (

@@ -21,7 +21,7 @@ const HotpathDirective = "//podnas:hotpath"
 
 // HotallocPackages are the module-relative package directories the gate
 // inspects by default: the kernel compute layer and the nn training loop,
-// whose measured ≤ 6 allocs/train-step budget (the benchmark's
+// whose measured zero-allocation train step (the benchmark's
 // nn.allocs_per_step) this gate turns into a statically enforced invariant.
 var HotallocPackages = []string{"internal/kernel", "internal/nn"}
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -158,4 +159,37 @@ func TestGradCheckIdentityNodesAndMultiConsumer(t *testing.T) {
 	}
 	x, y := smallData(rng, 2, 3, 2, 2)
 	gradCheckGraph(t, g, x, y, 1e-4)
+}
+
+// TestGradCheckSearchSpaceOps runs the finite-difference check over every
+// LSTM width the paper's search space can pick (arch.DefaultSpace: 16,
+// 32, 64, 80, 96) and the constant LSTM(5) output head — widths at which
+// the gate sweeps, bias and column-sum loops and Adam's inputs run as
+// whole vectors, where the other checks' widths of 2–4 exercise only the
+// scalar tails — each both as a plain chain and behind the paper's
+// projection + sum + ReLU merge of a skip from the input.
+func TestGradCheckSearchSpaceOps(t *testing.T) {
+	const inDim, outDim = 5, 5
+	for _, units := range []int{16, 32, 64, 80, 96} {
+		chain := GraphSpec{InputDim: inDim, Nodes: []GraphNodeSpec{
+			{Inputs: []int{GraphInput}, Units: units},
+			{Inputs: []int{0}, Units: outDim},
+		}}
+		merged := GraphSpec{InputDim: inDim, Nodes: []GraphNodeSpec{
+			{Inputs: []int{GraphInput}, Units: units},
+			{Inputs: []int{0, GraphInput}, Units: units},
+			{Inputs: []int{1}, Units: outDim},
+		}}
+		for name, spec := range map[string]GraphSpec{"chain": chain, "merge": merged} {
+			rng := tensor.NewRNG(uint64(units))
+			g, err := NewGraph(spec, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, y := smallData(rng, 2, 3, inDim, outDim)
+			t.Run(fmt.Sprintf("LSTM%d/%s", units, name), func(t *testing.T) {
+				gradCheckGraph(t, g, x, y, 1e-4)
+			})
+		}
+	}
 }

@@ -78,9 +78,12 @@ type Graph struct {
 	outDim int
 	es     *engineState // execution policy + arenas shared by all layers
 
-	// backward scratch: per-node accumulated output gradients
+	// backward scratch: the gradient accumulated so far for each node's
+	// output and, last, for the network input (nil until a consumer
+	// contributes), and the headers those pointers point at, refilled
+	// each Backward.
 	douts []*tensor.Tensor3
-	dIn   *tensor.Tensor3
+	grads []tensor.Tensor3
 }
 
 // SetKernelConfig sets the kernel execution policy (workers, parallel
@@ -135,6 +138,8 @@ func NewGraph(spec GraphSpec, rng *tensor.RNG) (*Graph, error) {
 		g.nodes = append(g.nodes, node)
 	}
 	g.outDim = dims[len(dims)-1]
+	g.douts = make([]*tensor.Tensor3, len(g.nodes)+1)
+	g.grads = make([]tensor.Tensor3, len(g.nodes)+1)
 	return g, nil
 }
 
@@ -208,39 +213,26 @@ func (g *Graph) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 //podnas:hotpath
 func (g *Graph) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 	n := len(g.nodes)
-	if cap(g.douts) < n {
-		g.douts = make([]*tensor.Tensor3, n) //podnas:allow hotalloc douts growth is amortized across calls
-	}
-	g.douts = g.douts[:n]
-	for i := range g.douts {
-		g.douts[i] = nil
-	}
-	g.dIn = nil
+	clear(g.douts)
 	g.douts[n-1] = dOut
 	// Recycle the backward arena; forward caches live in the other one.
 	g.es.bwd.Reset()
 
-	// cloneGrad copies a gradient the accumulator must own into the
-	// backward arena.
-	cloneGrad := func(src *tensor.Tensor3) *tensor.Tensor3 {
-		data := g.es.bwd.Alloc(len(src.Data))
-		copy(data, src.Data)
-		return tensor.Tensor3FromSlice(src.B, src.T, src.F, data)
-	}
+	// accumulate adds grad to what node idx (or the network input) has
+	// received so far. The first contribution is copied into the backward
+	// arena, since the accumulator must own what it adds to.
 	accumulate := func(idx int, grad *tensor.Tensor3) {
 		if idx == GraphInput {
-			if g.dIn == nil {
-				g.dIn = cloneGrad(grad)
-			} else {
-				tensor.AddTensor3(g.dIn, grad)
-			}
+			idx = n
+		}
+		if g.douts[idx] != nil {
+			tensor.AddTensor3(g.douts[idx], grad)
 			return
 		}
-		if g.douts[idx] == nil {
-			g.douts[idx] = cloneGrad(grad)
-		} else {
-			tensor.AddTensor3(g.douts[idx], grad)
-		}
+		data := g.es.bwd.Alloc(len(grad.Data))
+		copy(data, grad.Data)
+		g.grads[idx] = tensor.Tensor3{B: grad.B, T: grad.T, F: grad.F, Data: data}
+		g.douts[idx] = &g.grads[idx]
 	}
 
 	for i := n - 1; i >= 0; i-- {
@@ -264,10 +256,10 @@ func (g *Graph) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 			accumulate(in, node.proj[j].Backward(dSum))
 		}
 	}
-	if g.dIn == nil {
-		g.dIn = tensor.NewTensor3(dOut.B, dOut.T, g.spec.InputDim)
+	if g.douts[n] == nil {
+		return tensor.NewTensor3(dOut.B, dOut.T, g.spec.InputDim)
 	}
-	return g.dIn
+	return g.douts[n]
 }
 
 // NewStackedLSTM is a convenience constructor for a plain stacked LSTM

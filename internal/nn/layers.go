@@ -14,8 +14,9 @@ import (
 // must not be shared across goroutines.
 //
 // Tensors returned by Forward and Backward alias arena storage owned by
-// the network: valid until the next Forward (respectively Backward) pass,
-// so consume or copy them within the step.
+// the network, and their headers are fields of the layer that it refills
+// and returns by address: both are valid until the next Forward
+// (respectively Backward) pass, so consume or copy them within the step.
 type Layer interface {
 	// Forward computes the layer output for x.
 	Forward(x *tensor.Tensor3) *tensor.Tensor3
@@ -61,6 +62,7 @@ type Dense struct {
 	in, out int
 	W, B    *Param
 	x       *tensor.Tensor3 // cached input
+	y, dx   tensor.Tensor3  // headers of the last Forward's and Backward's results
 }
 
 // NewDense returns a Dense layer with Glorot-initialized weights.
@@ -85,18 +87,9 @@ func (l *Dense) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 	es.cfg.Gemm(kernel.MatOf(rows, l.out, data),
 		kernel.MatOf(rows, l.in, x.Data),
 		kernel.MatOf(l.in, l.out, l.W.W), false, false, false)
-	addBiasRows(data, l.B.W, rows, l.out)
-	return tensor.Tensor3FromSlice(x.B, x.T, l.out, data)
-}
-
-//podnas:hotpath
-func addBiasRows(data, bias []float64, rows, width int) {
-	for i := 0; i < rows; i++ {
-		dst := data[i*width : (i+1)*width]
-		for j, b := range bias {
-			dst[j] += b
-		}
-	}
+	kernel.AddRows(data, l.B.W, rows, l.out)
+	l.y = tensor.Tensor3{B: x.B, T: x.T, F: l.out, Data: data}
+	return &l.y
 }
 
 // Backward accumulates dW, db and returns dX.
@@ -112,22 +105,13 @@ func (l *Dense) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 	es.cfg.Gemm(kernel.MatOf(l.in, l.out, l.W.G),
 		kernel.MatOf(rows, l.in, l.x.Data),
 		kernel.MatOf(rows, l.out, dOut.Data), true, false, true)
-	sumGradRows(l.B.G, dOut.Data, rows, l.out)
+	kernel.SumRows(l.B.G, dOut.Data, rows, l.out)
 	dx := es.bwd.Alloc(rows * l.in)
 	es.cfg.Gemm(kernel.MatOf(rows, l.in, dx),
 		kernel.MatOf(rows, l.out, dOut.Data),
 		kernel.MatOf(l.in, l.out, l.W.W), false, true, false)
-	return tensor.Tensor3FromSlice(l.x.B, l.x.T, l.in, dx)
-}
-
-//podnas:hotpath
-func sumGradRows(acc, data []float64, rows, width int) {
-	for i := 0; i < rows; i++ {
-		src := data[i*width : (i+1)*width]
-		for j, v := range src {
-			acc[j] += v
-		}
-	}
+	l.dx = tensor.Tensor3{B: l.x.B, T: l.x.T, F: l.in, Data: dx}
+	return &l.dx
 }
 
 // Params returns the weight and bias parameters.
@@ -140,56 +124,44 @@ func (l *Dense) InDim() int { return l.in }
 func (l *Dense) OutDim() int { return l.out }
 
 // ReLU is an elementwise rectifier layer. The paper applies it after every
-// skip-connection add.
+// skip-connection add. Backward takes its mask from the forward output
+// (positive exactly where the input was), so the layer keeps no mask of
+// its own.
 type ReLU struct {
 	engined
-	dim  int
-	mask []bool
+	dim   int
+	y, dx tensor.Tensor3 // headers of the last Forward's and Backward's results
 }
 
 // NewReLU returns a ReLU layer of the given feature dimension.
 func NewReLU(dim int) *ReLU { return &ReLU{dim: dim} }
 
-// Forward rectifies x elementwise.
+// Forward rectifies x elementwise: NaN and -0 become +0, +Inf passes.
 //
 //podnas:hotpath
 func (l *ReLU) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 	es := l.state() //podnas:allow hotalloc lazy one-time engineState init per layer
-	n := len(x.Data)
-	if cap(l.mask) < n {
-		l.mask = make([]bool, n) //podnas:allow hotalloc mask growth is amortized across calls
-	}
-	l.mask = l.mask[:n]
 	es.resetFwd()
-	data := es.fwd.Alloc(n)
-	for i, v := range x.Data {
-		if v > 0 {
-			l.mask[i] = true
-			data[i] = v
-		} else {
-			l.mask[i] = false
-			data[i] = 0
-		}
-	}
-	return tensor.Tensor3FromSlice(x.B, x.T, x.F, data)
+	data := es.fwd.Alloc(len(x.Data))
+	kernel.ReLU(data, x.Data)
+	l.y = tensor.Tensor3{B: x.B, T: x.T, F: x.F, Data: data}
+	return &l.y
 }
 
-// Backward gates dOut by the forward activation mask.
+// Backward passes dOut where the forward output is positive and zero
+// elsewhere.
 //
 //podnas:hotpath
 func (l *ReLU) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
-	es := l.state() //podnas:allow hotalloc lazy one-time engineState init per layer
-	n := len(dOut.Data)
-	es.resetBwd()
-	data := es.bwd.Alloc(n)
-	for i, v := range dOut.Data {
-		if l.mask[i] {
-			data[i] = v
-		} else {
-			data[i] = 0
-		}
+	if l.y.Data == nil {
+		panic("nn: ReLU.Backward before Forward")
 	}
-	return tensor.Tensor3FromSlice(dOut.B, dOut.T, dOut.F, data)
+	es := l.state() //podnas:allow hotalloc lazy one-time engineState init per layer
+	es.resetBwd()
+	data := es.bwd.Alloc(len(dOut.Data))
+	kernel.ReLUGrad(data, l.y.Data, dOut.Data)
+	l.dx = tensor.Tensor3{B: dOut.B, T: dOut.T, F: dOut.F, Data: data}
+	return &l.dx
 }
 
 // Params returns nil.

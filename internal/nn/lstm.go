@@ -42,6 +42,8 @@ type LSTM struct {
 	zeroH []float64 // read-only zeros standing in for c_{-1}
 
 	pbWhT *kernel.PackedB // Whᵀ packed once per Backward for the dh carry
+
+	y, dx tensor.Tensor3 // headers of the last Forward's and Backward's results
 }
 
 // NewLSTM returns an LSTM layer with Glorot-initialized kernels and the
@@ -91,12 +93,7 @@ func (l *LSTM) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 	es.cfg.Gemm(kernel.MatOf(b*t, h4, l.gates),
 		kernel.MatOf(b*t, l.in, x.Data),
 		kernel.MatOf(l.in, h4, l.Wx.W), false, false, false)
-	for r := 0; r < b*t; r++ {
-		row := l.gates[r*h4 : r*h4+h4]
-		for j, bv := range l.B.W {
-			row[j] += bv
-		}
-	}
+	kernel.AddRows(l.gates, l.B.W, b*t, h4)
 
 	// Recurrent part: z_t += h_{t-1}·Wh through strided timestep views of
 	// the shared buffers (no StepInto copies), Wh read where it lies. The
@@ -110,7 +107,8 @@ func (l *LSTM) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 		}
 		l.forwardSweep(b, step)
 	}
-	return tensor.Tensor3FromSlice(b, t, h, l.hs)
+	l.y = tensor.Tensor3{B: b, T: t, F: h, Data: l.hs}
+	return &l.y
 }
 
 // forwardSweep applies the fused activation update to the b batch rows of
@@ -172,17 +170,13 @@ func (l *LSTM) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 	es.cfg.Gemm(kernel.MatOf(l.in, h4, l.Wx.G),
 		kernel.MatOf(b*t, l.in, l.x.Data),
 		kernel.MatOf(b*t, h4, dz), true, false, true)
-	for r := 0; r < b*t; r++ {
-		src := dz[r*h4 : r*h4+h4]
-		for j, v := range src {
-			l.B.G[j] += v
-		}
-	}
+	kernel.SumRows(l.B.G, dz, b*t, h4)
 	dx := es.bwd.Alloc(b * t * l.in)
 	es.cfg.Gemm(kernel.MatOf(b*t, l.in, dx),
 		kernel.MatOf(b*t, h4, dz),
 		kernel.MatOf(l.in, h4, l.Wx.W), false, true, false)
-	return tensor.Tensor3FromSlice(b, t, l.in, dx)
+	l.dx = tensor.Tensor3{B: b, T: t, F: l.in, Data: dx}
+	return &l.dx
 }
 
 // backwardSweep runs the fused BPTT gate sweep over the b batch rows of one
@@ -194,7 +188,7 @@ func (l *LSTM) backwardSweep(dOut *tensor.Tensor3, dz, dc, dhn []float64, b, ste
 	h4 := 4 * h
 	for bi := 0; bi < b; bi++ {
 		base := bi*t + step
-		var cPrev []float64
+		cPrev := l.zeroH[:h]
 		if step > 0 {
 			cPrev = l.cells[(base-1)*h : base*h]
 		}

@@ -54,6 +54,43 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
+func TestReLUBackwardBeforeForwardPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "nn: ReLU.Backward before Forward" {
+			t.Errorf("recovered %v, want the layer's own panic", r)
+		}
+	}()
+	NewReLU(2).Backward(tensor.NewTensor3(1, 1, 2))
+}
+
+// TestReLUEdgeSemantics pins what the rectifier does where `v > 0` is
+// not obvious, with the mask now taken from the forward output: a NaN
+// input rectifies to +0 and passes no gradient, -0 becomes +0, +Inf
+// passes. Twelve features put the first eight through a vector body and
+// the rest through the scalar tail.
+func TestReLUEdgeSemantics(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	in := []float64{math.NaN(), negZero, math.Inf(1), math.Inf(-1), -1, 1, 0, 5e-324,
+		math.NaN(), negZero, math.Inf(1), 3}
+	want := []float64{0, 0, math.Inf(1), 0, 0, 1, 0, 5e-324, 0, 0, math.Inf(1), 3}
+	wantGrad := []float64{0, 0, -2, 0, 0, -2, 0, -2, 0, 0, -2, -2}
+	r := NewReLU(len(in))
+	y := r.Forward(tensor.Tensor3FromSlice(1, 1, len(in), in))
+	d := tensor.NewTensor3(1, 1, len(in))
+	for i := range d.Data {
+		d.Data[i] = -2
+	}
+	dx := r.Backward(d)
+	for i := range in {
+		if math.Float64bits(y.Data[i]) != math.Float64bits(want[i]) {
+			t.Errorf("relu(%g) = %g (bits %x), want %g", in[i], y.Data[i], math.Float64bits(y.Data[i]), want[i])
+		}
+		if math.Float64bits(dx.Data[i]) != math.Float64bits(wantGrad[i]) {
+			t.Errorf("gradient at %g = %g (bits %x), want %g", in[i], dx.Data[i], math.Float64bits(dx.Data[i]), wantGrad[i])
+		}
+	}
+}
+
 func TestLSTMShapesAndDeterminism(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	l := NewLSTM("l", 3, 5, rng)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"podnas/internal/kernel"
 	"podnas/internal/tensor"
 )
 
@@ -31,11 +32,7 @@ func NewParam(name string, n int) *Param {
 }
 
 // ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.G {
-		p.G[i] = 0
-	}
-}
+func (p *Param) ZeroGrad() { clear(p.G) }
 
 // Adam is the Adam optimizer (Kingma & Ba 2014) with the paper's default
 // hyperparameters: lr=0.001, β1=0.9, β2=0.999, ε=1e-8.
@@ -50,22 +47,21 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one Adam update to every parameter and clears gradients.
+// Step applies one Adam update to every parameter and clears gradients,
+// one fused kernel pass per parameter.
 //
 //podnas:hotpath
 func (a *Adam) Step(params []*Param) {
 	a.step++
-	b1c := 1 - math.Pow(a.Beta1, float64(a.step))
-	b2c := 1 - math.Pow(a.Beta2, float64(a.step))
+	k := kernel.AdamCoeffs{
+		Beta1: a.Beta1, OneMinusBeta1: 1 - a.Beta1,
+		Beta2: a.Beta2, OneMinusBeta2: 1 - a.Beta2,
+		Corr1: 1 - math.Pow(a.Beta1, float64(a.step)),
+		Corr2: 1 - math.Pow(a.Beta2, float64(a.step)),
+		LR:    a.LR, Eps: a.Eps,
+	}
 	for _, p := range params {
-		for i, g := range p.G {
-			p.m[i] = a.Beta1*p.m[i] + (1-a.Beta1)*g
-			p.v[i] = a.Beta2*p.v[i] + (1-a.Beta2)*g*g
-			mhat := p.m[i] / b1c
-			vhat := p.v[i] / b2c
-			p.W[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-		}
-		p.ZeroGrad()
+		kernel.AdamStep(p.W, p.G, p.m, p.v, &k)
 	}
 }
 

@@ -62,6 +62,26 @@ func refMatMulTransAAddInto(dst, a, b *tensor.Matrix) {
 	kernel.RefGemm(dst.Kern(), a.Kern(), b.Kern(), true, false, true)
 }
 
+// refAddBiasRows and refSumGradRows are the pre-kernel bias broadcast and
+// bias-gradient column sum.
+func refAddBiasRows(data, bias []float64, rows, width int) {
+	for i := 0; i < rows; i++ {
+		dst := data[i*width : (i+1)*width]
+		for j, b := range bias {
+			dst[j] += b
+		}
+	}
+}
+
+func refSumGradRows(acc, data []float64, rows, width int) {
+	for i := 0; i < rows; i++ {
+		src := data[i*width : (i+1)*width]
+		for j, v := range src {
+			acc[j] += v
+		}
+	}
+}
+
 // refDense is the pre-kernel Dense layer.
 type refDense struct {
 	in, out int
@@ -74,14 +94,14 @@ func (l *refDense) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 	out := tensor.NewTensor3(x.B, x.T, l.out)
 	w := tensor.FromSlice(l.in, l.out, l.W.W)
 	refMatMulInto(out.AsMatrix(), x.AsMatrix(), w)
-	addBiasRows(out.Data, l.B.W, x.B*x.T, l.out)
+	refAddBiasRows(out.Data, l.B.W, x.B*x.T, l.out)
 	return out
 }
 
 func (l *refDense) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 	dw := tensor.FromSlice(l.in, l.out, l.W.G)
 	refMatMulTransAAddInto(dw, l.x.AsMatrix(), dOut.AsMatrix())
-	sumGradRows(l.B.G, dOut.Data, dOut.B*dOut.T, l.out)
+	refSumGradRows(l.B.G, dOut.Data, dOut.B*dOut.T, l.out)
 	dx := tensor.NewTensor3(l.x.B, l.x.T, l.in)
 	w := tensor.FromSlice(l.in, l.out, l.W.W)
 	dxm := refMatMulTransB(dOut.AsMatrix(), w)

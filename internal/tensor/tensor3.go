@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"podnas/internal/kernel"
+)
 
 // Tensor3 is a dense rank-3 tensor with layout (batch, time, feature),
 // row-major with feature fastest. It is the activation type flowing through
@@ -132,7 +136,5 @@ func AddTensor3(a, b *Tensor3) {
 	if a.B != b.B || a.T != b.T || a.F != b.F {
 		panic("tensor: AddTensor3 shape mismatch")
 	}
-	for i, v := range b.Data {
-		a.Data[i] += v
-	}
+	kernel.AddTo(a.Data, b.Data)
 }
